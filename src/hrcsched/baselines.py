@@ -281,7 +281,7 @@ def exhaustive_search(
             return OracleResult(
                 status=BUDGET_EXCEEDED,
                 optimal_makespan=best[0],
-                optimal_route=None if best[1] is None else _named_route(best[1]),
+                optimal_route=best[1],
                 depth_rows=completed_rows,
                 nodes_expanded=visits[0],
                 stopped_at_depth=limit,
@@ -294,15 +294,11 @@ def exhaustive_search(
             return OracleResult(
                 status=COMPLETE,
                 optimal_makespan=best[0],
-                optimal_route=_named_route(best[1]),
+                optimal_route=best[1],
                 depth_rows=completed_rows,
                 nodes_expanded=visits[0],
                 stopped_at_depth=None,
             )
-
-
-def _named_route(route):
-    return list(route)
 
 
 def oracle_report_csv(result: OracleResult) -> str:

@@ -4,11 +4,34 @@ Stones sit on a width x height grid. Removing a stone may leave stones
 above it unsupported; those descend one row at a time until every stone
 again has at least one occupied cell somewhere under its span. Only
 stones currently in the bottom row can be picked.
+
+Gravity is defined by repeated settling passes. Each pass scans the rows
+bottom-up and the columns left to right, and moves every stone whose whole
+span has empty cells directly below down one row; passes repeat until
+nothing moves. ``remove_and_cascade`` reports exactly the descents of that
+full rescan, in the same order, while examining only candidate stones.
+
+A stone found supported keeps its support until a cell under it empties,
+and a cell empties only where a stone leaves it. In a pass, the cells of
+row r empty while row r is scanned, before any stone of row r + 1 is
+reached, and no cell of row r - 1 empties after row r is scanned. So the
+stones a pass can move are the candidates: those directly above a cell
+emptied earlier in the same pass (the picked stone's cells count as
+emptied in the first pass), and those that fell in the previous pass.
+Every other stone would be found supported by the full scan. Candidates
+are taken from a heap in (row, col) order, the order the full scan meets
+them in, so the descents come out in the same order.
+
+That argument needs a board that was settled before the pick. A board
+built by ``from_spec`` or added to by ``_place`` may hold floating stones
+(a job file can describe them), so its first cascade takes every stone
+above row 0 as a candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .jobspec import JobSpec
 
@@ -19,6 +42,12 @@ class BoardError(ValueError):
 
 @dataclass
 class Stone:
+    """One task on the board.
+
+    A stone is never mutated in place: a descent replaces the board's entry
+    with a new ``Stone``. Board copies therefore share their stones.
+    """
+
     id: str
     kind: str
     col: int
@@ -40,6 +69,8 @@ class Board:
         # grid[row][col] holds a task id or None; row 0 is the bottom
         self.grid: list[list[str | None]] = [[None] * width for _ in range(height)]
         self.stones: dict[str, Stone] = {}
+        # False while a placed stone may float, until the next cascade
+        self._settled = True
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
@@ -54,15 +85,15 @@ class Board:
                 raise BoardError(f"cell ({stone.row}, {c}) already occupied")
             self.grid[stone.row][c] = stone.id
         self.stones[stone.id] = stone
+        self._settled = False
 
     def copy(self) -> "Board":
         dup = Board.__new__(Board)
         dup.width = self.width
         dup.height = self.height
         dup.grid = [row[:] for row in self.grid]
-        dup.stones = {
-            sid: Stone(s.id, s.kind, s.col, s.span, s.row) for sid, s in self.stones.items()
-        }
+        dup.stones = dict(self.stones)
+        dup._settled = self._settled
         return dup
 
     def __contains__(self, task_id: str) -> bool:
@@ -82,10 +113,15 @@ class Board:
     def remove_and_cascade(self, task_id: str) -> PickOutcome:
         """Remove a bottom-row stone and let the stack settle.
 
-        Each settling pass scans rows bottom-up and columns left to right;
-        a stone whose entire span has empty cells directly below moves down
-        one row. Passes repeat until nothing moves, so a stone can fall
-        several rows through repeated passes.
+        The descents are those of repeated full settling passes, each
+        scanning rows bottom-up and columns left to right and moving every
+        unsupported stone down one row, so a stone can fall several rows
+        through repeated passes. Each pass examines only the candidates
+        (see the module docstring): stones above cells emptied before the
+        pass reaches them, and stones that fell in the previous pass, in
+        (row, col) order. The first cascade of an unsettled board takes
+        every stone above row 0 as a candidate, which makes its first pass
+        a full one.
         """
         stone = self.stones.get(task_id)
         if stone is None:
@@ -93,32 +129,62 @@ class Board:
         if stone.row != 0:
             raise BoardError(f"stone {task_id!r} is not in the bottom row")
 
-        for c in range(stone.col, stone.col + stone.span):
-            self.grid[0][c] = None
-        del self.stones[task_id]
+        grid, stones, width = self.grid, self.stones, self.width
+        lo, hi = stone.col, stone.col + stone.span
+        for c in range(lo, hi):
+            grid[0][c] = None
+        del stones[task_id]
 
         outcome = PickOutcome(removed=task_id)
-        moved = True
-        while moved:
-            moved = False
-            for r in range(1, self.height):
-                row_cells = self.grid[r]
-                for c in range(self.width):
-                    tid = row_cells[c]
-                    if tid is None:
-                        continue
-                    s = self.stones[tid]
-                    if s.row != r or s.col != c:
-                        continue  # not the leftmost cell of this stone
-                    below = self.grid[r - 1]
-                    if all(below[cc] is None for cc in range(s.col, s.col + s.span)):
-                        for cc in range(s.col, s.col + s.span):
-                            below[cc] = tid
-                            row_cells[cc] = None
-                        s.row = r - 1
-                        outcome.descents.append((tid, r, r - 1))
-                        moved = True
+        descents = outcome.descents
+        # candidates keyed row * width + col of their leftmost cell
+        if self._settled:
+            heap = self._keys_above(0, lo, hi)
+        else:
+            heap = [s.row * width + s.col for s in stones.values() if s.row > 0]
+            heapify(heap)
+            self._settled = True
+
+        while heap:
+            fell: list[int] = []  # ascending, so already a heap for the next pass
+            last = -1
+            while heap:
+                key = heappop(heap)
+                if key == last:
+                    continue
+                last = key
+                r, c = divmod(key, width)
+                tid = grid[r][c]
+                if tid is None:
+                    continue
+                s = stones[tid]
+                if s.row != r or s.col != c:
+                    continue  # not the leftmost cell of this stone
+                lo, hi = c, c + s.span
+                below = grid[r - 1]
+                if any(below[cc] is not None for cc in range(lo, hi)):
+                    continue
+                row_cells = grid[r]
+                for cc in range(lo, hi):
+                    below[cc] = tid
+                    row_cells[cc] = None
+                stones[tid] = Stone(tid, s.kind, c, s.span, r - 1)
+                descents.append((tid, r, r - 1))
+                if r > 1:
+                    fell.append(key - width)
+                for above in self._keys_above(r, lo, hi):
+                    heappush(heap, above)
+            heap = fell
         return outcome
+
+    def _keys_above(self, row: int, lo: int, hi: int) -> list[int]:
+        """Candidate keys of the stones on cells ``lo`` to ``hi - 1`` of the
+        row above ``row``, ascending, repeats included."""
+        if row + 1 == self.height:
+            return []
+        stones = self.stones
+        base = (row + 1) * self.width
+        return [base + stones[t].col for t in self.grid[row + 1][lo:hi] if t is not None]
 
     def is_gravity_fixpoint(self) -> bool:
         for s in self.stones.values():

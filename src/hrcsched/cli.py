@@ -32,6 +32,7 @@ from .game import (
     legal_actions,
     next_agent,
     schedule_csv,
+    schedule_rows_csv,
     transition,
 )
 from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, JobSpecError, parse_jobspec
@@ -138,7 +139,7 @@ def _load_spec(path) -> JobSpec:
         raise _CliError(3, f"invalid jobspec: {exc}")
 
 
-def _search_config(args, seed: int) -> SearchConfig:
+def _search_config(args) -> SearchConfig:
     if args.simulations < 1:
         raise _CliError(2, "--simulations must be at least 1")
     if args.max_depth < 0:
@@ -147,7 +148,6 @@ def _search_config(args, seed: int) -> SearchConfig:
         c_puct=args.c_puct,
         max_depth=None if args.max_depth == 0 else args.max_depth,
         simulations=args.simulations,
-        seed=seed,
     )
 
 
@@ -179,7 +179,7 @@ def _write(out_dir, name: str, text: str) -> str:
 
 
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
-    config = _search_config(args, seed)
+    config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed, strict)
     record, _ = generate_episode(
         spec, evaluator, config, seed=seed, temperature_moves=0, strict=strict
@@ -200,7 +200,7 @@ def _cmd_train(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = TrainingConfig(
         iterations=args.iterations,
         episodes=args.episodes,
-        search=_search_config(args, seed),
+        search=_search_config(args),
         temperature_moves=args.temperature_moves,
         seed=seed,
         strict=strict,
@@ -310,7 +310,7 @@ def _prompt_human(state, agent, actions, out):
 
 
 def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
-    config = _search_config(args, seed)
+    config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed, strict)
     state = initial_state(spec, strict=strict)
     tree = SearchTree(state, evaluator, config)
@@ -324,7 +324,7 @@ def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
             chosen = _prompt_human(state, agent, actions, out)
             if chosen is None:
                 print(f"stopped at clock {state.clock}", file=out)
-                _write(args.out, "schedule.csv", _schedule_rows_csv(schedule))
+                _write(args.out, "schedule.csv", schedule_rows_csv(schedule))
                 return 0
             if chosen.is_noop and _would_stall(state, chosen):
                 print("waiting now would leave every agent idle; pick a task", file=out)
@@ -346,7 +346,7 @@ def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
         if state.clock != previous:
             print(f"clock advances to {state.clock}", file=out)
 
-    _write(args.out, "schedule.csv", _schedule_rows_csv(schedule))
+    _write(args.out, "schedule.csv", schedule_rows_csv(schedule))
     print(f"makespan {state.clock}", file=out)
     return 0
 
@@ -354,14 +354,6 @@ def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
 def _would_stall(state, action) -> bool:
     nxt, _, _ = transition(state, action)
     return is_stalled(nxt)
-
-
-def _schedule_rows_csv(schedule) -> str:
-    lines = ["agent,task,start,end"]
-    for agent in schedule:
-        for task, start, end in schedule[agent]:
-            lines.append(f"{agent},{task},{start},{end}")
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

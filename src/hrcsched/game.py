@@ -141,8 +141,18 @@ class TransitionResult:
     freed: list[Agent]
 
 
+# The context built by the latest initial_state call. Every caller plays one
+# spec many times in a row (episodes, rollouts, a CLI run), so one entry
+# serves them all, and memory stays bounded however many specs a process
+# parses. Contexts are immutable, so sharing one between episodes is safe.
+_last_context: JobContext | None = None
+
+
 def initial_state(spec: JobSpec, strict: bool = True) -> GameState:
-    job = JobContext.build(spec, strict=strict)
+    global _last_context
+    job = _last_context
+    if job is None or job.spec is not spec or job.strict != strict:
+        job = _last_context = JobContext.build(spec, strict=strict)
     return GameState(
         job=job,
         board=Board.from_spec(spec),
@@ -177,6 +187,15 @@ def _compatible(agent: Agent, kind: str) -> bool:
     return kind == (HUMAN_ONLY if agent.is_human else ROBOT_ONLY)
 
 
+def _pickable(state: GameState, agent: Agent, tid: str, taken: frozenset[str]) -> bool:
+    """Whether ``agent`` may pick the bottom-row stone ``tid``."""
+    return (
+        tid not in taken
+        and _compatible(agent, state.board.stones[tid].kind)
+        and (not state.job.strict or state.job.precedence[tid] <= state.completed)
+    )
+
+
 def legal_actions(
     state: GameState, agent: Agent, taken: frozenset[str] | None = None
 ) -> list[AgentAction]:
@@ -191,23 +210,31 @@ def legal_actions(
     if taken is None:
         taken = state.taken
 
-    actions: list[AgentAction] = []
-    for tid in state.board.bottom_row_tasks():
-        if tid in taken:
-            continue
-        if not _compatible(agent, state.board.stones[tid].kind):
-            continue
-        if state.job.strict and not state.job.precedence[tid] <= state.completed:
-            continue
-        actions.append(pick(tid))
+    actions = [
+        pick(tid) for tid in state.board.bottom_row_tasks() if _pickable(state, agent, tid, taken)
+    ]
     actions.append(NOOP)
     return actions
 
 
+def _check_legal(state: GameState, agent: Agent, action: AgentAction) -> None:
+    """Raise IllegalActionError unless ``action`` is in
+    ``legal_actions(state, agent)``, testing only the picked stone."""
+    if state.agents[agent].busy:
+        raise IllegalActionError(f"{agent} is busy and cannot act")
+    if not isinstance(action, AgentAction):
+        raise IllegalActionError(f"{agent} cannot {action} here")
+    tid = action.task
+    if tid is None:
+        return
+    stone = state.board.stones.get(tid)
+    if stone is None or stone.row != 0 or not _pickable(state, agent, tid, state.taken):
+        raise IllegalActionError(f"{agent} cannot {action} here")
+
+
 def apply_pick(state: GameState, agent: Agent, action: AgentAction) -> GameState:
     """One agent's decision. Returns a new state; the input is untouched."""
-    if action not in legal_actions(state, agent):
-        raise IllegalActionError(f"{agent} cannot {action} here")
+    _check_legal(state, agent, action)
 
     nxt = state.copy()
     if action.is_noop:
@@ -220,28 +247,36 @@ def apply_pick(state: GameState, agent: Agent, action: AgentAction) -> GameState
     return nxt
 
 
-def advance_time(state: GameState) -> TransitionResult:
-    """Jump to the next completion instant and open a new epoch."""
+def _advance_in_place(state: GameState) -> tuple[int, list[Agent]]:
+    """Jump ``state`` itself to the next completion instant and open a new
+    epoch. Returns (elapsed time, agents freed)."""
     busy = [(a, st) for a, st in state.agents.items() if st.busy]
     if not busy:
         raise DeadlockError("no agent is busy, time cannot advance")
 
     elapsed = min(st.remaining for _, st in busy)
-    nxt = state.copy()
-    nxt.clock = state.clock + elapsed
-    nxt.declined = frozenset()
-    nxt.taken = frozenset()
+    state.clock += elapsed
+    state.declined = frozenset()
+    state.taken = frozenset()
     completed = set(state.completed)
     freed: list[Agent] = []
     for agent, st in busy:
         left = st.remaining - elapsed
         if left == 0:
-            nxt.agents[agent] = IDLE
+            state.agents[agent] = IDLE
             completed.add(st.task)
             freed.append(agent)
         else:
-            nxt.agents[agent] = AgentState(st.task, left)
-    nxt.completed = frozenset(completed)
+            state.agents[agent] = AgentState(st.task, left)
+    state.completed = frozenset(completed)
+    return elapsed, freed
+
+
+def advance_time(state: GameState) -> TransitionResult:
+    """Jump to the next completion instant and open a new epoch. Returns a
+    new state; the input is untouched."""
+    nxt = state.copy()
+    elapsed, freed = _advance_in_place(nxt)
     return TransitionResult(next=nxt, reward=-elapsed, elapsed=elapsed, freed=freed)
 
 
@@ -257,8 +292,9 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         raise GameError("no pending agent; the epoch is already closed")
     nxt = apply_pick(state, agent, action)
     if next_agent(nxt) is None and any(st.busy for st in nxt.agents.values()):
-        result = advance_time(nxt)
-        return result.next, result.reward, True
+        # nxt is this call's own copy, so time advances on it directly
+        elapsed, _ = _advance_in_place(nxt)
+        return nxt, -elapsed, True
     return nxt, 0, False
 
 
@@ -343,9 +379,14 @@ def run_episode(
 
 def schedule_csv(record: EpisodeRecord) -> str:
     """CSV of task intervals, one row per assignment."""
+    return schedule_rows_csv(record.schedule)
+
+
+def schedule_rows_csv(schedule: dict[Agent, list[tuple[str, int, int]]]) -> str:
+    """CSV of the (task, start, end) intervals of each agent, in order."""
     lines = ["agent,task,start,end"]
-    for agent in record.schedule:
-        for task, start, end in record.schedule[agent]:
+    for agent in schedule:
+        for task, start, end in schedule[agent]:
             lines.append(f"{agent},{task},{start},{end}")
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import NOOP, AgentAction, GameState, is_stalled, is_terminal, next_agent, transition
+from .game import (
+    NOOP,
+    AgentAction,
+    GameState,
+    is_stalled,
+    is_terminal,
+    legal_actions,
+    next_agent,
+    transition,
+)
 
 
 @dataclass
@@ -24,7 +33,6 @@ class SearchConfig:
     max_depth: int | None = 3  # None looks ahead without limit
     simulations: int = 30
     noop_prior: float = 0.001
-    seed: int = 0
 
 
 @dataclass
@@ -101,7 +109,7 @@ def expand_and_evaluate(node: SearchNode, evaluator, noop_prior: float) -> float
         return 0.0
 
     agent = next_agent(state)
-    actions = [a for a in _legal(state, agent)]
+    actions = legal_actions(state, agent)
     p, value = evaluator(state)
 
     picks = [a for a in actions if not a.is_noop]
@@ -118,12 +126,6 @@ def expand_and_evaluate(node: SearchNode, evaluator, noop_prior: float) -> float
 
     node.edges = [Edge(action=a, prior=priors[a]) for a in actions]
     return float(value)
-
-
-def _legal(state, agent):
-    from .game import legal_actions
-
-    return legal_actions(state, agent)
 
 
 def backup(path: list[tuple[SearchNode, Edge]], leaf_value: float) -> None:

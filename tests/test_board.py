@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from hrcsched import Board, BoardError, parse_jobspec
+from hrcsched import Board, BoardError, Stone, parse_jobspec
 
 from conftest import random_instance
 
@@ -117,3 +118,97 @@ def test_cascade_reaches_fixpoint_on_random_instances():
             board.remove_and_cascade(board.bottom_row_tasks()[0])
             assert board.is_gravity_fixpoint()
         assert len(board) == 0
+
+
+def reference_cascade(board: Board, task_id: str) -> list[tuple[str, int, int]]:
+    """Gravity by full rescans: the definition ``remove_and_cascade`` must
+    match. Each pass scans rows bottom-up and columns left to right and
+    moves every stone with empty cells under its whole span down one row;
+    passes repeat until nothing moves."""
+    stone = board.stones.pop(task_id)
+    assert stone.row == 0
+    for c in range(stone.col, stone.col + stone.span):
+        board.grid[0][c] = None
+    descents = []
+    moved = True
+    while moved:
+        moved = False
+        for r in range(1, board.height):
+            for c in range(board.width):
+                tid = board.grid[r][c]
+                if tid is None:
+                    continue
+                s = board.stones[tid]
+                if s.row != r or s.col != c:
+                    continue
+                cols = range(s.col, s.col + s.span)
+                if all(board.grid[r - 1][cc] is None for cc in cols):
+                    for cc in cols:
+                        board.grid[r - 1][cc] = tid
+                        board.grid[r][cc] = None
+                    board.stones[tid] = Stone(s.id, s.kind, s.col, s.span, r - 1)
+                    descents.append((tid, r, r - 1))
+                    moved = True
+    return descents
+
+
+def random_layout(rng: np.random.Generator) -> tuple[Board, Board]:
+    """Two boards with the same random layout, floating stones allowed:
+    1-6 columns, 1-7 rows, spans 1-3."""
+    width = int(rng.integers(1, 7))
+    height = int(rng.integers(1, 8))
+    boards = (Board(width, height), Board(width, height))
+    for i in range(int(rng.integers(1, width * height + 1))):
+        span = int(rng.integers(1, min(3, width) + 1))
+        col = int(rng.integers(0, width - span + 1))
+        row = int(rng.integers(0, height))
+        if any(boards[0].grid[row][c] is not None for c in range(col, col + span)):
+            continue
+        for board in boards:
+            board._place(Stone(f"s{i}", "E", col, span, row))
+    return boards
+
+
+def test_cascade_matches_full_rescan_on_random_boards():
+    rng = np.random.default_rng(2024)
+    boards = picks = 0
+    while boards < 5000:
+        fast, slow = random_layout(rng)
+        if not fast.bottom_row_tasks():
+            continue  # a layout with nothing to pick tests no cascade
+        boards += 1
+        while fast.bottom_row_tasks():
+            assert fast.bottom_row_tasks() == slow.bottom_row_tasks()
+            tid = str(rng.choice(fast.bottom_row_tasks()))
+            assert fast.remove_and_cascade(tid).descents == reference_cascade(slow, tid)
+            assert fast.grid == slow.grid
+            assert {k: s.row for k, s in fast.stones.items()} == {
+                k: s.row for k, s in slow.stones.items()
+            }
+            picks += 1
+    assert picks > 5000
+
+
+def snapshot(board: Board):
+    return (
+        [row[:] for row in board.grid],
+        {k: (s.col, s.span, s.row) for k, s in board.stones.items()},
+    )
+
+
+def test_cascade_leaves_copies_untouched():
+    """Copies share their stones, so a cascade on either side of a copy
+    must leave the other side's grid and stones as they were."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        board, _ = random_layout(rng)
+        earlier = []
+        while board.bottom_row_tasks():
+            before = snapshot(board)
+            probe = board.copy()
+            probe.remove_and_cascade(str(rng.choice(probe.bottom_row_tasks())))
+            assert snapshot(board) == before
+            earlier.append((board.copy(), before))
+            board.remove_and_cascade(str(rng.choice(board.bottom_row_tasks())))
+        for dup, seen in earlier:
+            assert snapshot(dup) == seen

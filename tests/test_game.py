@@ -11,6 +11,7 @@ from hrcsched import (
     NOOP,
     advance_time,
     apply_pick,
+    desk_fixture,
     episode_log_csv,
     initial_state,
     is_stalled,
@@ -247,3 +248,75 @@ def test_strict_never_worse_than_sum_of_durations():
         spec = random_instance(seed)
         record = run_episode(spec, first_pick, seed=seed)
         assert record.makespan <= spec.total_duration()
+
+
+def snapshot(state):
+    """Everything a transition could change, copied out of the state."""
+    return (
+        state.clock,
+        state.completed,
+        state.declined,
+        state.taken,
+        dict(state.agents),
+        [row[:] for row in state.board.grid],
+        {k: (s.col, s.span, s.row) for k, s in state.board.stones.items()},
+    )
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_transition_accepts_exactly_the_legal_actions(strict):
+    """Over random play, transition accepts a pick of each task id, and
+    NoOp, exactly when it is in legal_actions, raises IllegalActionError
+    otherwise, and never changes the state it is given."""
+    jobs = [(desk_fixture(), s) for s in range(2)] + [(random_instance(s), s) for s in range(40)]
+    for spec, seed in jobs:
+        rng = np.random.default_rng(seed)
+        actions = [pick(t.id) for t in spec.tasks] + [pick("no_such_task"), NOOP]
+        state = initial_state(spec, strict=strict)
+        while not is_terminal(state):
+            agent = next_agent(state)
+            legal = legal_actions(state, agent)
+            before = snapshot(state)
+            for action in actions:
+                if action in legal:
+                    transition(state, action)
+                else:
+                    with pytest.raises(IllegalActionError):
+                        transition(state, action)
+            assert snapshot(state) == before
+            state, _, _ = transition(state, random_pick(state, agent, legal, rng))
+
+
+def test_each_illegal_pick_raises():
+    strict_state = tiny_state()
+    # B sits on A, so it is not in the bottom row
+    with pytest.raises(IllegalActionError):
+        transition(strict_state, pick("B"))
+    with pytest.raises(IllegalActionError):
+        transition(strict_state, pick("no_such_task"))
+    # R1 acts once H1 declines; A is human-only
+    robot_turn, _, _ = transition(strict_state, NOOP)
+    with pytest.raises(IllegalActionError):
+        transition(robot_turn, pick("A"))
+    # B has descended but A, under it, is still running
+    after_a, _, _ = transition(strict_state, pick("A"))
+    with pytest.raises(IllegalActionError):
+        transition(after_a, pick("B"))
+    transition(transition(tiny_state(strict=False), pick("A"))[0], pick("B"))
+
+    spec = parse_jobspec("board 2 1\nagents 2 0\ntask x E 1 0 0\ntask y E 1 1 0\n")
+    taken, _, _ = transition(initial_state(spec), pick("x"))
+    with pytest.raises(IllegalActionError):
+        transition(taken, pick("x"))
+    with pytest.raises(IllegalActionError):
+        apply_pick(taken, H1, NOOP)  # H1 is busy
+
+
+def test_transition_leaves_its_input_untouched():
+    state = tiny_state()
+    for action in (pick("A"), pick("C")):  # the second pick closes the epoch
+        before = snapshot(state)
+        nxt, _, advanced = transition(state, action)
+        assert snapshot(state) == before
+        state = nxt
+    assert advanced and state.clock == 2
