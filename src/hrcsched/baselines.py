@@ -9,6 +9,20 @@ when the budget cuts the run short. Sequences whose epoch closes with no
 agent busy are dead ends (time could never advance) and are not counted as
 routes.
 
+The search is one recursive closure over flat state: agents and tasks are
+bitmasks, busy agents' tasks and finish times sit in two lists, and a pick
+removes its stone from a flat grid and chases the cells it empties, undoing
+the descents on the way back. A node counts its children itself. On a
+pass's last level that needs no board work: whether a child finishes the
+job, stalls or waits on the frontier, and at what clock, follows from the
+agents' tasks and finish times alone, never from where stones lie. So
+those children are counted without removing a stone or recursing, yet each
+is still one visit checked against the budget in the same depth-first
+order, which keeps every count, the optimum's tie-break and the point
+where the budget stops exactly those of a search that visits them one by
+one. A layout with floating stones settles on a route's first pick, as
+``Board`` does.
+
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.
 """
@@ -16,9 +30,11 @@ when it holds none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
+from .board import Board
 from .game import run_episode
 from .jobspec import EITHER, HUMAN_ONLY, JobSpec, derive_precedence
 
@@ -52,173 +68,6 @@ class _BudgetStop(Exception):
     pass
 
 
-class _Engine:
-    """Flat-array game core with undo, tuned for millions of visits."""
-
-    def __init__(self, spec: JobSpec, strict: bool):
-        self.spec = spec
-        self.strict = strict
-        self.w = spec.width
-        self.h = spec.height
-        tasks = spec.tasks
-        self.n = len(tasks)
-        self.ids = [t.id for t in tasks]
-        index = {t.id: i for i, t in enumerate(tasks)}
-        self.col = [t.col for t in tasks]
-        self.span = [t.span for t in tasks]
-        self.dur = [t.duration for t in tasks]
-        self.row = [t.row for t in tasks]
-        self.grid = [-1] * (self.w * self.h)
-        for i, t in enumerate(tasks):
-            for c in range(t.col, t.col + t.span):
-                self.grid[t.row * self.w + c] = i
-        prec = derive_precedence(spec)
-        self.pred = [0] * self.n
-        for tid, preds in prec.items():
-            mask = 0
-            for p in preds:
-                mask |= 1 << index[p]
-            self.pred[index[tid]] = mask
-        self.ok = []  # per agent, per task compatibility
-        self.labels = []
-        for i in range(spec.humans):
-            self.labels.append(f"H{i + 1}")
-            self.ok.append([t.kind in (HUMAN_ONLY, EITHER) for t in tasks])
-        for i in range(spec.robots):
-            self.labels.append(f"R{i + 1}")
-            self.ok.append([t.kind != HUMAN_ONLY for t in tasks])
-        self.agents = len(self.labels)
-        self.busy_task = [-1] * self.agents
-        self.busy_rem = [0] * self.agents
-        self.declined = [False] * self.agents
-        self.taken = 0
-        self.completed = 0
-        self.full = (1 << self.n) - 1
-        self.clock = 0
-
-    def next_pending(self):
-        for a in range(self.agents):
-            if self.busy_task[a] < 0 and not self.declined[a]:
-                return a
-        return None
-
-    def any_busy(self):
-        return any(t >= 0 for t in self.busy_task)
-
-    def legal(self, agent):
-        """Pickable task indices for an idle agent, left to right."""
-        grid, ok = self.grid, self.ok[agent]
-        out = []
-        last = -1
-        for c in range(self.w):
-            t = grid[c]
-            if t >= 0 and t != last:
-                last = t
-                if (
-                    ok[t]
-                    and not (self.taken >> t) & 1
-                    and (not self.strict or self.pred[t] & ~self.completed == 0)
-                ):
-                    out.append(t)
-        return out
-
-    def apply(self, agent, task):
-        """One decision plus the epoch close when it was the last. Returns an
-        undo journal."""
-        journal = []
-        grid, w = self.grid, self.w
-        if task is None:
-            self.declined[agent] = True
-            journal.append(("d", agent))
-        else:
-            lo, hi = self.col[task], self.col[task] + self.span[task]
-            for c in range(lo, hi):
-                grid[c] = -1
-            self.row[task] = -1
-            self.busy_task[agent] = task
-            self.busy_rem[agent] = self.dur[task]
-            self.taken |= 1 << task
-            # Stones only move down and a fall never blocks another stone's
-            # fall, so the fixpoint is order independent; chasing freshly
-            # emptied cells reaches it without rescanning the board.
-            descents = []
-            top = w * (self.h - 1)
-            queue = list(range(lo, hi))
-            while queue:
-                cell = queue.pop()
-                if cell >= top:
-                    continue
-                t = grid[cell + w]
-                if t < 0:
-                    continue
-                r = self.row[t]
-                blo = (r - 1) * w + self.col[t]
-                bhi = blo + self.span[t]
-                if all(grid[cc] < 0 for cc in range(blo, bhi)):
-                    for cc in range(blo, bhi):
-                        grid[cc] = t
-                        grid[cc + w] = -1
-                    self.row[t] = r - 1
-                    descents.append(t)
-                    queue.extend(range(blo + w, bhi + w))
-                    if blo >= w:
-                        queue.extend(range(blo - w, bhi - w))
-            journal.append(("p", agent, task, descents))
-
-        if self.next_pending() is None and self.any_busy():
-            rem = self.busy_rem
-            elapsed = min(rem[a] for a in range(self.agents) if self.busy_task[a] >= 0)
-            freed = []
-            for a in range(self.agents):
-                if self.busy_task[a] >= 0:
-                    rem[a] -= elapsed
-                    if rem[a] == 0:
-                        freed.append((a, self.busy_task[a]))
-                        self.completed |= 1 << self.busy_task[a]
-                        self.busy_task[a] = -1
-            prev_declined = self.declined[:]
-            for a in range(self.agents):
-                self.declined[a] = False
-            journal.append(("a", elapsed, freed, prev_declined, self.taken))
-            self.taken = 0
-            self.clock += elapsed
-        return journal
-
-    def undo(self, journal):
-        grid, w = self.grid, self.w
-        for entry in reversed(journal):
-            op = entry[0]
-            if op == "a":
-                _, elapsed, freed, prev_declined, prev_taken = entry
-                self.clock -= elapsed
-                for a in range(self.agents):
-                    if self.busy_task[a] >= 0:
-                        self.busy_rem[a] += elapsed
-                for a, t in freed:
-                    self.busy_task[a] = t
-                    self.busy_rem[a] = elapsed
-                    self.completed &= ~(1 << t)
-                self.declined = prev_declined
-                self.taken = prev_taken
-            elif op == "p":
-                _, agent, task, descents = entry
-                for t in reversed(descents):
-                    r = self.row[t]
-                    lo, hi = r * w + self.col[t], r * w + self.col[t] + self.span[t]
-                    for cc in range(lo, hi):
-                        grid[cc + w] = t
-                        grid[cc] = -1
-                    self.row[t] = r + 1
-                self.busy_task[agent] = -1
-                self.busy_rem[agent] = 0
-                self.taken &= ~(1 << task)
-                self.row[task] = 0
-                for c in range(self.col[task], self.col[task] + self.span[task]):
-                    grid[c] = task
-            else:
-                self.declined[entry[1]] = False
-
-
 def exhaustive_search(
     spec: JobSpec, node_budget: int = 10_000_000, strict: bool = True
 ) -> OracleResult:
@@ -229,74 +78,223 @@ def exhaustive_search(
     true lower bound for any legal play. The budget counts prefix visits
     summed over all deepening passes.
     """
-    eng = _Engine(spec, strict)
-    visits = [0]
-    best = [None, None]  # makespan, route
-    stack: list[tuple[str, str | None]] = []
+    w = spec.width
+    tasks = spec.tasks
+    ids = [t.id for t in tasks]
+    col = [t.col for t in tasks]
+    span = [t.span for t in tasks]
+    dur = [t.duration for t in tasks]
+    row = [t.row for t in tasks]  # current row of every stone still on the board
+    grid = [-1] * (w * spec.height)  # task index per cell, bottom row first
+    for i, t in enumerate(tasks):
+        for c in range(t.col, t.col + t.span):
+            grid[t.row * w + c] = i
+    pred = [0] * len(tasks)  # mask of direct predecessors, empty in literal mode
+    if strict:
+        index = {tid: i for i, tid in enumerate(ids)}
+        for tid, preds in derive_precedence(spec).items():
+            for p in preds:
+                pred[index[tid]] |= 1 << index[p]
+    labels = [f"H{i + 1}" for i in range(spec.humans)] + [f"R{i + 1}" for i in range(spec.robots)]
+    # mask of the tasks each agent may do
+    ok = [sum(1 << i for i, t in enumerate(tasks) if t.kind in (HUMAN_ONLY, EITHER))] * spec.humans
+    ok += [sum(1 << i for i, t in enumerate(tasks) if t.kind != HUMAN_ONLY)] * spec.robots
+    everyone = (1 << len(labels)) - 1
+    full = (1 << len(tasks)) - 1
+    top = w * (spec.height - 1)
+    # A layout with floating stones settles on its first pick, as Board does.
+    floating = not Board.from_spec(spec).is_gravity_fixpoint()
+    doing = [0] * len(labels)  # task bit of each busy agent
+    finish = [0] * len(labels)  # clock at which each busy agent's task completes
+    stack: list[tuple[int, int]] = []  # (agent, task or -1 to decline) per move
+    visits = 0
+    best_clock = best_route = None
+    limit = 0
+    nodes = routes = leaves = []  # counters of the current pass, rebound per pass
+    frontier = False
 
-    # per-pass counters, rebound by run_pass
-    counters = {}
+    def leaf(depth, clock):
+        """Count a finished schedule whose route is ``stack``."""
+        nonlocal best_clock, best_route
+        routes[depth] += 1
+        leaves[depth] += 1
+        if best_clock is None or clock < best_clock:
+            best_clock = clock
+            best_route = [(labels[a], ids[t] if t >= 0 else None) for a, t in stack]
 
-    def visit(depth, limit):
-        if visits[0] >= node_budget:
-            raise _BudgetStop
-        visits[0] += 1
-        counters["nodes"][depth] += 1
-        if eng.completed == eng.full:
-            counters["routes"][depth] += 1
-            counters["leaves"][depth] += 1
-            if best[0] is None or eng.clock < best[0]:
-                best[0] = eng.clock
-                best[1] = stack[:]
-            return
-        agent = eng.next_pending()
-        if agent is None:
-            return  # stalled: every agent idle and declined, a dead end
+    def expand(depth, idle, declined, taken, completed, clock):
+        """Visit the children of a live node above the pass's last level.
+
+        ``idle`` and ``declined`` are agent masks, ``taken`` and
+        ``completed`` task masks; busy agents' tasks sit in ``doing`` and
+        ``finish``."""
+        nonlocal visits, frontier
+        pend = idle & ~declined
+        bit = pend & -pend
+        agent = bit.bit_length() - 1
+        allowed = ok[agent] & ~taken
+        moves = []
+        last = -1
+        for t in grid[:w]:
+            if t != last and t >= 0:
+                last = t
+                if allowed >> t & 1 and not pred[t] & ~completed:
+                    moves.append(t)
+        moves.append(-1)
+        depth += 1
+        closes = pend == bit  # the epoch closes after this agent's move
+        if closes:
+            # the earliest finish among busy agents, who finish then, and their tasks
+            soon, soon_agents, soon_tasks = inf, 0, 0
+            for b in range(len(labels)):
+                if not idle >> b & 1:
+                    if finish[b] < soon:
+                        soon, soon_agents, soon_tasks = finish[b], 1 << b, doing[b]
+                    elif finish[b] == soon:
+                        soon_agents |= 1 << b
+                        soon_tasks |= doing[b]
+
         if depth == limit:
-            counters["routes"][depth] += 1
-            counters["frontier"] = True
+            # A child's counts depend only on agents and clock, never on the
+            # board, so the last level is counted here without board work.
+            room = node_budget - visits
+            cut = room < len(moves)
+            if cut:
+                del moves[room:]
+            visits += len(moves)
+            nodes[depth] += len(moves)
+            if not closes:
+                routes[depth] += len(moves)
+                frontier = True
+            else:
+                for t in moves:
+                    at = soon if t < 0 else clock + dur[t]
+                    if at == inf:
+                        continue  # stalled: every agent idle and declined
+                    done = soon_tasks if at >= soon else 0
+                    if t >= 0 and at <= soon:
+                        done |= 1 << t
+                    if completed | done == full:  # then nobody works past at
+                        stack.append((agent, t))
+                        leaf(depth, at)
+                        stack.pop()
+                    else:
+                        routes[depth] += 1
+                        frontier = True
+            if cut:
+                raise _BudgetStop
             return
-        counters["routes"][depth] += 1
-        label = eng.labels[agent]
-        for task in eng.legal(agent) + [None]:
-            journal = eng.apply(agent, task)
-            stack.append((label, None if task is None else eng.ids[task]))
-            visit(depth + 1, limit)
+
+        saved = doing[agent], finish[agent]
+        settle = floating and idle == everyone and not completed
+        for t in moves:
+            if visits >= node_budget:
+                raise _BudgetStop
+            visits += 1
+            nodes[depth] += 1
+            if t < 0:
+                if not closes:
+                    child = (idle, declined | bit, taken, completed, clock)
+                elif soon == inf:
+                    continue  # stalled: every agent idle and declined
+                else:
+                    child = (idle | soon_agents, 0, 0, completed | soon_tasks, soon)
+            else:
+                at = clock + dur[t]
+                doing[agent], finish[agent] = 1 << t, at
+                if not closes:
+                    child = (idle ^ bit, declined, taken | 1 << t, completed, clock)
+                elif at < soon:
+                    child = (idle, 0, 0, completed | 1 << t, at)
+                elif at == soon:
+                    child = (idle | soon_agents, 0, 0, completed | soon_tasks | 1 << t, at)
+                else:
+                    child = (idle ^ bit | soon_agents, 0, 0, completed | soon_tasks, soon)
+            stack.append((agent, t))
+            if child[3] == full:
+                leaf(depth, child[4])
+                stack.pop()
+                continue
+            routes[depth] += 1
+            if t < 0:
+                expand(depth, *child)
+                stack.pop()
+                continue
+            # Remove the stone and let what it held up fall. A fall never
+            # blocks another, so chasing the cells emptied reaches the same
+            # fixpoint as full settling passes; the first pick of a route
+            # on a floating layout chases every cell.
+            lo = col[t]
+            hi = lo + span[t]
+            for c in range(lo, hi):
+                grid[c] = -1
+            queue = list(range(top) if settle else range(lo, hi))
+            moved = []
+            while queue:
+                cell = queue.pop()
+                if cell >= top:
+                    continue
+                s = grid[cell + w]
+                if s < 0:
+                    continue
+                blo = (row[s] - 1) * w + col[s]
+                bhi = blo + span[s]
+                for cc in range(blo, bhi):
+                    if grid[cc] >= 0:
+                        break
+                else:
+                    for cc in range(blo, bhi):
+                        grid[cc] = s
+                        grid[cc + w] = -1
+                    row[s] -= 1
+                    moved.append(s)
+                    queue.extend(range(blo + w, bhi + w))
+                    if blo >= w:
+                        queue.extend(range(blo - w, bhi - w))
+            expand(depth, *child)
             stack.pop()
-            eng.undo(journal)
+            for s in reversed(moved):
+                lo_s = row[s] * w + col[s]
+                for cc in range(lo_s, lo_s + span[s]):
+                    grid[cc + w] = s
+                    grid[cc] = -1
+                row[s] += 1
+            for c in range(lo, hi):
+                grid[c] = t
+        doing[agent], finish[agent] = saved
 
     completed_rows: list[DepthRow] = []
-    limit = 0
     while True:
         limit += 1
-        counters = {
-            "nodes": [0] * (limit + 1),
-            "routes": [0] * (limit + 1),
-            "leaves": [0] * (limit + 1),
-            "frontier": False,
-        }
+        nodes, routes, leaves = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
+        frontier = False
         try:
-            visit(0, limit)
+            if visits >= node_budget:
+                raise _BudgetStop
+            visits += 1
+            nodes[0] += 1
+            if not full:
+                leaf(0, 0)
+            elif everyone:
+                routes[0] += 1
+                expand(0, everyone, 0, 0, 0, 0)
         except _BudgetStop:
             return OracleResult(
                 status=BUDGET_EXCEEDED,
-                optimal_makespan=best[0],
-                optimal_route=best[1],
+                optimal_makespan=best_clock,
+                optimal_route=best_route,
                 depth_rows=completed_rows,
-                nodes_expanded=visits[0],
+                nodes_expanded=visits,
                 stopped_at_depth=limit,
             )
-        completed_rows = [
-            DepthRow(d, counters["routes"][d], counters["nodes"][d], counters["leaves"][d])
-            for d in range(limit + 1)
-        ]
-        if not counters["frontier"]:
+        completed_rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
+        if not frontier:
             return OracleResult(
                 status=COMPLETE,
-                optimal_makespan=best[0],
-                optimal_route=best[1],
+                optimal_makespan=best_clock,
+                optimal_route=best_route,
                 depth_rows=completed_rows,
-                nodes_expanded=visits[0],
+                nodes_expanded=visits,
                 stopped_at_depth=None,
             )
 

@@ -187,18 +187,16 @@ def _compatible(agent: Agent, kind: str) -> bool:
     return kind == (HUMAN_ONLY if agent.is_human else ROBOT_ONLY)
 
 
-def _pickable(state: GameState, agent: Agent, tid: str, taken: frozenset[str]) -> bool:
+def _pickable(state: GameState, agent: Agent, tid: str) -> bool:
     """Whether ``agent`` may pick the bottom-row stone ``tid``."""
     return (
-        tid not in taken
+        tid not in state.taken
         and _compatible(agent, state.board.stones[tid].kind)
         and (not state.job.strict or state.job.precedence[tid] <= state.completed)
     )
 
 
-def legal_actions(
-    state: GameState, agent: Agent, taken: frozenset[str] | None = None
-) -> list[AgentAction]:
+def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     """Picks available to an idle agent, plus NoOp, which is always allowed.
 
     A bottom-row stone is pickable when its kind matches the agent, it was
@@ -207,12 +205,8 @@ def legal_actions(
     """
     if state.agents[agent].busy:
         raise IllegalActionError(f"{agent} is busy and cannot act")
-    if taken is None:
-        taken = state.taken
 
-    actions = [
-        pick(tid) for tid in state.board.bottom_row_tasks() if _pickable(state, agent, tid, taken)
-    ]
+    actions = [pick(tid) for tid in state.board.bottom_row_tasks() if _pickable(state, agent, tid)]
     actions.append(NOOP)
     return actions
 
@@ -228,7 +222,7 @@ def _check_legal(state: GameState, agent: Agent, action: AgentAction) -> None:
     if tid is None:
         return
     stone = state.board.stones.get(tid)
-    if stone is None or stone.row != 0 or not _pickable(state, agent, tid, state.taken):
+    if stone is None or stone.row != 0 or not _pickable(state, agent, tid):
         raise IllegalActionError(f"{agent} cannot {action} here")
 
 

@@ -1,8 +1,12 @@
 """Exhaustive-search oracle and random-rollout baseline.
 
-The oracle's answers on small instances are cross-checked against an
-independent plain-recursion enumerator built only on the public game API.
+The oracle's answers on small instances are cross-checked against two
+independent enumerators built only on the public game API: a
+branch-and-bound optimum, and a plain iterative deepening that must
+reproduce every field of the oracle's result.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +15,11 @@ from hrcsched import (
     BUDGET_EXCEEDED,
     COMPLETE,
     NOOP,
+    Board,
+    DepthRow,
+    JobSpec,
+    OracleResult,
+    Task,
     exhaustive_search,
     histogram_csv,
     initial_state,
@@ -49,6 +58,73 @@ def reference_optimum(spec, strict=True):
 
     go(initial_state(spec, strict=strict))
     return best[0]
+
+
+class _Stop(Exception):
+    pass
+
+
+def reference_search(spec, node_budget=10_000_000, strict=True):
+    """Plain iterative deepening over the public game API, one visit per
+    prefix: the definition of every field ``exhaustive_search`` reports."""
+    visits = 0
+    best = [None, None]  # makespan, route
+    rows: list[DepthRow] = []
+    limit = 0
+    while True:
+        limit += 1
+        nodes, routes, leaves = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
+        frontier = False
+
+        def visit(state, depth, route):
+            nonlocal visits, frontier
+            if visits >= node_budget:
+                raise _Stop
+            visits += 1
+            nodes[depth] += 1
+            if is_terminal(state):
+                routes[depth] += 1
+                leaves[depth] += 1
+                if best[0] is None or state.clock < best[0]:
+                    best[:] = [state.clock, route]
+                return
+            agent = next_agent(state)
+            if agent is None:
+                return  # stalled
+            routes[depth] += 1
+            if depth == limit:
+                frontier = True
+                return
+            for action in legal_actions(state, agent):
+                child, _, _ = transition(state, action)
+                visit(child, depth + 1, route + [(str(agent), action.task)])
+
+        try:
+            visit(initial_state(spec, strict=strict), 0, [])
+        except _Stop:
+            return OracleResult(BUDGET_EXCEEDED, best[0], best[1], rows, visits, limit)
+        rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
+        if not frontier:
+            return OracleResult(COMPLETE, best[0], best[1], rows, visits, None)
+
+
+def floating_instance(seed, humans=1, robots=1):
+    """A small job whose stones sit on random free cells, so most layouts
+    hold floating stones."""
+    rng = np.random.default_rng(seed)
+    width, height = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    used: set[tuple[int, int]] = set()
+    tasks = []
+    for i in range(int(rng.integers(2, 6))):
+        span = int(rng.integers(1, 3))
+        col, row = int(rng.integers(0, width - span + 1)), int(rng.integers(0, height))
+        cells = {(row, c) for c in range(col, col + span)}
+        if cells & used:
+            continue
+        used |= cells
+        kind = "HRE"[int(rng.integers(3))]
+        tasks.append(Task(f"f{i}", kind, int(rng.integers(1, 10)), col, row, span))
+    return JobSpec(width, height, humans, robots, tuple(tasks))
 
 
 def replay_route(spec, route, strict=True):
@@ -109,12 +185,69 @@ def test_oracle_matches_reference_on_random_instances():
         spec = random_instance(seed)
         if len(spec.tasks) > 6:
             continue
-        res = exhaustive_search(spec)
-        assert res.status == COMPLETE
-        assert res.optimal_makespan == reference_optimum(spec), seed
-        assert replay_route(spec, res.optimal_route) == res.optimal_makespan
+        for strict in (True, False):
+            res = exhaustive_search(spec, strict=strict)
+            assert res == reference_search(spec, strict=strict), (seed, strict)
+            assert res.status == COMPLETE
+            assert res.optimal_makespan == reference_optimum(spec, strict=strict), seed
+            assert replay_route(spec, res.optimal_route, strict=strict) == res.optimal_makespan
         checked += 1
     assert checked >= 20
+
+
+# X floats over an empty cell until the first pick settles the board.
+FLOATING_TEXT = """\
+board 2 3
+agents 1 1
+task A E 1 0 0
+task X E 2 1 2
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, strict, optimum",
+    [("", True, 2), ("", False, 2), ("task B R 3 1 0\n", True, 5), ("task B R 3 1 0\n", False, 3)],
+)
+def test_oracle_settles_floating_stones_on_first_pick(extra, strict, optimum):
+    spec = parse_jobspec(FLOATING_TEXT + extra)
+    res = exhaustive_search(spec, strict=strict)
+    assert res.status == COMPLETE
+    assert res.optimal_makespan == optimum == reference_optimum(spec, strict=strict)
+    assert replay_route(spec, res.optimal_route, strict=strict) == optimum
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_oracle_matches_reference_search_at_every_tiny_budget(strict):
+    spec = parse_jobspec(TINY_TEXT)
+    for budget in range(1, 137):
+        expected = reference_search(spec, node_budget=budget, strict=strict)
+        assert exhaustive_search(spec, node_budget=budget, strict=strict) == expected, budget
+
+
+@pytest.mark.parametrize("humans, robots", [(2, 1), (1, 2), (2, 2)])
+def test_oracle_matches_reference_search_on_larger_rosters(humans, robots):
+    checked = 0
+    for seed in range(20):
+        spec = random_instance(seed)
+        if len(spec.tasks) <= 4:
+            spec = replace(spec, humans=humans, robots=robots)
+            for strict in (True, False):
+                expected = reference_search(spec, strict=strict)
+                assert exhaustive_search(spec, strict=strict) == expected, (seed, strict)
+            checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("humans, robots", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_oracle_matches_reference_search_on_floating_layouts(humans, robots):
+    floating = 0
+    for seed in range(30):
+        spec = floating_instance(seed, humans, robots)
+        floating += not Board.from_spec(spec).is_gravity_fixpoint()
+        for strict in (True, False):
+            expected = reference_search(spec, strict=strict)
+            assert exhaustive_search(spec, strict=strict) == expected, (seed, strict)
+    assert floating >= 10
 
 
 def test_oracle_depth_row_invariants():
