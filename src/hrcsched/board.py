@@ -22,10 +22,10 @@ Every other stone would be found supported by the full scan. Candidates
 are taken from a heap in (row, col) order, the order the full scan meets
 them in, so the descents come out in the same order.
 
-That argument needs a board that was settled before the pick. A board
-built by ``from_spec`` or added to by ``_place`` may hold floating stones
-(a job file can describe them), so its first cascade takes every stone
-above row 0 as a candidate.
+That argument needs a board that was settled before the pick. A job file
+can describe floating stones, so ``from_spec`` checks its board once, and
+``_place`` marks the board unsettled. The first cascade of an unsettled
+board takes every stone above row 0 as a candidate.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ class Board:
         board = cls(spec.width, spec.height)
         for t in spec.tasks:
             board._place(Stone(t.id, t.kind, t.col, t.span, t.row))
+        board._settled = board.is_gravity_fixpoint()
         return board
 
     def _place(self, stone: Stone) -> None:
@@ -187,11 +188,10 @@ class Board:
         return [base + stones[t].col for t in self.grid[row + 1][lo:hi] if t is not None]
 
     def is_gravity_fixpoint(self) -> bool:
+        grid = self.grid
         for s in self.stones.values():
-            if s.row == 0:
-                continue
-            below = self.grid[s.row - 1]
-            if all(below[c] is None for c in range(s.col, s.col + s.span)):
+            # floating: every cell under the span is empty
+            if s.row and grid[s.row - 1][s.col : s.col + s.span].count(None) == s.span:
                 return False
         return True
 

@@ -15,6 +15,7 @@ and shapes alone, which keeps the checkpoint format flat.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -110,27 +111,44 @@ def init_params(
     return params
 
 
-def _conv_layers(params: dict[str, np.ndarray]) -> list[int]:
-    indices = sorted(
-        int(m.group(1)) for k in params if (m := re.fullmatch(r"conv(\d+)_w", k))
-    )
+def _conv_layers(params: dict[str, np.ndarray]) -> tuple[int, ...]:
+    return _conv_layers_of(tuple(params))
+
+
+@functools.lru_cache(maxsize=64)
+def _conv_layers_of(names: tuple[str, ...]) -> tuple[int, ...]:
+    indices = sorted(int(m.group(1)) for k in names if (m := re.fullmatch(r"conv(\d+)_w", k)))
     if indices != list(range(len(indices))):
         raise CheckpointError("convolution layers are not contiguous", kind="shape")
-    return indices
+    return tuple(indices)
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    bsz, h, wd, _ = x.shape
-    f = w.shape[0]
+    """Valid 2x2 convolution, one matmul per kernel offset: the input cells
+    under that offset, one row per output cell, times its weights."""
+    bsz, h, wd, ch = x.shape
     oh, ow = h - KERNEL + 1, wd - KERNEL + 1
-    out = np.zeros((bsz, oh, ow, f))
+    out = x[:, :oh, :ow, :].reshape(-1, ch) @ w[:, 0, 0, :].T
     for di in range(KERNEL):
         for dj in range(KERNEL):
-            out += np.einsum("bhwc,fc->bhwf", x[:, di : di + oh, dj : dj + ow, :], w[:, di, dj, :])
-    return out + b
+            if di or dj:  # offset (0, 0) started the sum
+                out += x[:, di : di + oh, dj : dj + ow, :].reshape(-1, ch) @ w[:, di, dj, :].T
+    out += b
+    return out.reshape(bsz, oh, ow, w.shape[0])
 
 
-def _maxpool(x: np.ndarray):
+def _maxpool(x: np.ndarray) -> np.ndarray:
+    """Each window's maximum; rows and columns beyond the last whole window
+    are dropped."""
+    bsz, h, w, f = x.shape
+    h2, w2 = h // POOL, w // POOL
+    crop = x[:, : h2 * POOL, : w2 * POOL, :]
+    return crop.reshape(bsz, h2, POOL, w2, POOL, f).max(axis=(2, 4))
+
+
+def _maxpool_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Route each window's gradient to the first maximum of ``x`` in it,
+    scanning the window row by row."""
     bsz, h, w, f = x.shape
     h2, w2 = h // POOL, w // POOL
     crop = x[:, : h2 * POOL, : w2 * POOL, :]
@@ -140,13 +158,6 @@ def _maxpool(x: np.ndarray):
         .reshape(bsz, h2, w2, f, POOL * POOL)
     )
     idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, idx
-
-
-def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
-    bsz, h, w, f = in_shape
-    h2, w2 = h // POOL, w // POOL
     dwin = np.zeros((bsz, h2, w2, f, POOL * POOL))
     np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
     dcrop = (
@@ -154,7 +165,7 @@ def _maxpool_backward(dout: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray
         .transpose(0, 1, 4, 2, 5, 3)
         .reshape(bsz, h2 * POOL, w2 * POOL, f)
     )
-    dx = np.zeros(in_shape)
+    dx = np.zeros(x.shape)
     dx[:, : h2 * POOL, : w2 * POOL, :] = dcrop
     return dx
 
@@ -179,9 +190,8 @@ def _forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
         relu = np.maximum(z, 0.0)
         block = {"a_in": a, "z": z}
         if relu.shape[1] >= POOL and relu.shape[2] >= POOL:
-            pooled, idx = _maxpool(relu)
-            block.update(relu_shape=relu.shape, idx=idx, pooled=True)
-            a = pooled
+            block.update(relu=relu, pooled=True)
+            a = _maxpool(relu)
         else:
             block["pooled"] = False
             a = relu
@@ -218,14 +228,21 @@ def _stack(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs, pis, zs
 
 
-def loss_components(params, batch, l2: float = 1e-4) -> tuple[float, float, float]:
-    """(total loss, mean policy cross-entropy, mean value squared error)."""
+def _batch_loss(params, batch, l2: float):
+    """Forward pass over a minibatch. Returns (total loss, mean policy
+    cross-entropy, mean value squared error) and what backprop needs:
+    (target policies, target values, p, raw v, forward cache)."""
     xs, pis, zs = _stack(batch)
-    _, v, cache = _forward_batch(params, xs)
+    p, v, cache = _forward_batch(params, xs)
     ce = float(-(pis * cache["log_p"]).sum(axis=1).mean())
     mse = float(((zs - v) ** 2).mean())
     reg = l2 * sum(float((t * t).sum()) for t in params.values())
-    return ce + mse + reg, ce, mse
+    return (ce + mse + reg, ce, mse), (pis, zs, p, v, cache)
+
+
+def loss_components(params, batch, l2: float = 1e-4) -> tuple[float, float, float]:
+    """(total loss, mean policy cross-entropy, mean value squared error)."""
+    return _batch_loss(params, batch, l2)[0]
 
 
 def loss(params, batch, l2: float = 1e-4) -> float:
@@ -234,14 +251,8 @@ def loss(params, batch, l2: float = 1e-4) -> float:
 
 def loss_and_gradients(params, batch, l2: float = 1e-4):
     """Analytic gradients of the combined loss for one minibatch."""
-    xs, pis, zs = _stack(batch)
-    p, v, cache = _forward_batch(params, xs)
-    bsz = xs.shape[0]
-
-    ce = float(-(pis * cache["log_p"]).sum(axis=1).mean())
-    mse = float(((zs - v) ** 2).mean())
-    reg = l2 * sum(float((t * t).sum()) for t in params.values())
-    total = ce + mse + reg
+    (total, ce, mse), (pis, zs, p, v, cache) = _batch_loss(params, batch, l2)
+    bsz = len(zs)
 
     grads = {k: np.zeros_like(t) for k, t in params.items()}
     h1 = cache["h1"]
@@ -262,19 +273,21 @@ def loss_and_gradients(params, batch, l2: float = 1e-4):
     for i in reversed(_conv_layers(params)):
         block = cache["blocks"][i]
         if block["pooled"]:
-            da = _maxpool_backward(da, block["idx"], block["relu_shape"])
+            da = _maxpool_backward(da, block["relu"])
         dz = da * (block["z"] > 0)
         w = params[f"conv{i}_w"]
         a_in = block["a_in"]
-        oh, ow = dz.shape[1], dz.shape[2]
+        oh, ow, f = dz.shape[1:]
+        ch = a_in.shape[3]
+        dz_rows = dz.reshape(-1, f)  # one row per output cell, as in _conv2d
         dw = np.zeros_like(w)
         da_in = np.zeros_like(a_in)
         for di in range(KERNEL):
             for dj in range(KERNEL):
-                patch = a_in[:, di : di + oh, dj : dj + ow, :]
-                dw[:, di, dj, :] = np.einsum("bhwf,bhwc->fc", dz, patch)
-                da_in[:, di : di + oh, dj : dj + ow, :] += np.einsum(
-                    "bhwf,fc->bhwc", dz, w[:, di, dj, :]
+                patch = a_in[:, di : di + oh, dj : dj + ow, :].reshape(-1, ch)
+                dw[:, di, dj, :] = dz_rows.T @ patch
+                da_in[:, di : di + oh, dj : dj + ow, :] += (dz_rows @ w[:, di, dj, :]).reshape(
+                    bsz, oh, ow, ch
                 )
         grads[f"conv{i}_w"] = dw
         grads[f"conv{i}_b"] = dz.sum(axis=(0, 1, 2))
@@ -317,8 +330,10 @@ def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
     x = np.zeros((height, width, 3))
     for stone in board.stones.values():
         ch = CHANNEL_OF_KIND[stone.kind]
-        for c in range(stone.col, stone.col + stone.span):
-            x[stone.row, c, ch] = 1.0
+        if stone.span == 1:  # a scalar store costs far less than a slice
+            x[stone.row, stone.col, ch] = 1.0
+        else:
+            x[stone.row, stone.col : stone.col + stone.span, ch] = 1.0
     return x
 
 
@@ -455,7 +470,9 @@ class NetEvaluator:
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
         key = None
         if self._cache is not None:
-            key = tuple(sorted((sid, s.row) for sid, s in state.board.stones.items()))
+            # a stone's column and span never change, so the grid fixes
+            # which stones remain and their rows
+            key = tuple(map(tuple, state.board.grid))
             hit = self._cache.get(key)
             if hit is not None:
                 return hit

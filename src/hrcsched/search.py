@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import (
-    NOOP,
     AgentAction,
     GameState,
     is_stalled,
@@ -56,6 +55,13 @@ class SearchNode:
     edges: list[Edge] | None = None  # None until expanded
     visits: int = 0
     cached_value: float | None = None
+    # the state's status, set once: a node's state is never mutated
+    terminal: bool = field(init=False)
+    stalled: bool = field(init=False)
+
+    def __post_init__(self):
+        self.terminal = is_terminal(self.state)
+        self.stalled = not self.terminal and is_stalled(self.state)
 
     @property
     def expanded(self) -> bool:
@@ -71,16 +77,28 @@ def _edge_order_key(edge: Edge, state: GameState):
 
 
 def select_edge(node: SearchNode, c_puct: float) -> Edge:
-    """Pick the edge maximising Q + c * P * sqrt(sum visits) / (1 + visits)."""
-    total = sum(e.visits for e in node.edges)
-    sqrt_total = math.sqrt(total)
+    """Pick the edge maximising Q + c * P * sqrt(sum visits) / (1 + visits).
+
+    Exact score ties go by ``_edge_order_key``, which is only computed for
+    them.
+    """
+    edges = node.edges
+    sqrt_total = math.sqrt(sum([e.visits for e in edges]))
     best = None
-    best_key = None
-    for edge in node.edges:
-        score = edge.mean_value + c_puct * edge.prior * sqrt_total / (1 + edge.visits)
-        key = (score,) + _edge_order_key(edge, node.state)
-        if best_key is None or key > best_key:
-            best, best_key = edge, key
+    best_score = 0.0
+    best_key = None  # best's order key, once a tie has needed it
+    for edge in edges:
+        visits = edge.visits
+        q = edge.total_value / visits if visits else 0.0
+        score = q + c_puct * edge.prior * sqrt_total / (1 + visits)
+        if best is None or score > best_score:
+            best, best_score, best_key = edge, score, None
+        elif score == best_score:
+            if best_key is None:
+                best_key = _edge_order_key(best, node.state)
+            key = _edge_order_key(edge, node.state)
+            if key > best_key:
+                best, best_key = edge, key
     return best
 
 
@@ -89,7 +107,7 @@ def masked_priors(p: np.ndarray, columns: list[int]) -> np.ndarray:
 
     Ratios among the kept entries are preserved.
     """
-    masked = np.asarray([p[c] for c in columns], dtype=float)
+    masked = np.asarray(p, dtype=float)[columns]
     total = masked.sum()
     if total <= 0:
         return np.full(len(columns), 1.0 / len(columns))
@@ -104,7 +122,7 @@ def expand_and_evaluate(node: SearchNode, evaluator, noop_prior: float) -> float
     renormalised. Terminal nodes get value 0 and no edges.
     """
     state = node.state
-    if is_terminal(state):
+    if node.terminal:
         node.edges = []
         return 0.0
 
@@ -112,19 +130,17 @@ def expand_and_evaluate(node: SearchNode, evaluator, noop_prior: float) -> float
     actions = legal_actions(state, agent)
     p, value = evaluator(state)
 
-    picks = [a for a in actions if not a.is_noop]
-    priors: dict[AgentAction, float] = {}
+    picks = actions[:-1]  # legal_actions lists the picks, then NoOp
     if picks:
         cols = [state.job.tasks[a.task].col for a in picks]
-        pick_p = masked_priors(np.asarray(p, dtype=float), cols)
-        weights = {a: float(w) for a, w in zip(picks, pick_p)}
-        weights[NOOP] = noop_prior
-        total = sum(weights.values())
-        priors = {a: w / total for a, w in weights.items()}
+        weights = masked_priors(p, cols).tolist()
+        weights.append(noop_prior)
+        total = sum(weights)
+        priors = [w / total for w in weights]
     else:
-        priors = {NOOP: 1.0}
+        priors = [1.0]
 
-    node.edges = [Edge(action=a, prior=priors[a]) for a in actions]
+    node.edges = [Edge(action=a, prior=w) for a, w in zip(actions, priors)]
     return float(value)
 
 
@@ -167,7 +183,7 @@ class SearchTree:
         cfg = self.config
         if not self.root.expanded:
             expand_and_evaluate(self.root, self.evaluator, cfg.noop_prior)
-        if is_terminal(self.root.state):
+        if self.root.terminal:
             raise ValueError("cannot search from a terminal state")
         if len(self.root.edges) == 1:
             return [(self.root.edges[0].action, 1.0)], self.root.edges[0].action
@@ -196,7 +212,7 @@ class SearchTree:
         node = self.root
         path: list[tuple[SearchNode, Edge]] = []
 
-        while node.expanded and node.edges:
+        while node.edges:  # expanded and not terminal
             edge = select_edge(node, cfg.c_puct)
             if edge.child is None:
                 child_state, reward, advanced = transition(node.state, edge.action)
@@ -204,7 +220,7 @@ class SearchTree:
                 edge.child = SearchNode(state=child_state, depth=node.depth + int(advanced))
             path.append((node, edge))
             node = edge.child
-            if is_terminal(node.state) or is_stalled(node.state):
+            if node.terminal or node.stalled:
                 break
             if self._depth_capped(node):
                 break
@@ -213,9 +229,9 @@ class SearchTree:
         backup(path, leaf_value)
 
     def _evaluate_leaf(self, node: SearchNode) -> float:
-        if is_terminal(node.state):
+        if node.terminal:
             return 0.0
-        if is_stalled(node.state):
+        if node.stalled:
             return _stall_value(node.state)
         if self._depth_capped(node):
             # depth-capped leaf: evaluated by the network, never expanded

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hrcsched import Board, BoardError, Stone, parse_jobspec
+from hrcsched import Board, BoardError, Stone, desk_fixture, parse_jobspec
 
 from conftest import random_instance
 
@@ -187,6 +187,21 @@ def test_cascade_matches_full_rescan_on_random_boards():
             }
             picks += 1
     assert picks > 5000
+
+
+def test_floating_job_gets_a_full_first_pass():
+    """``from_spec`` marks a settled job settled, so its first cascade only
+    examines the stones above the pick, and a job with a floating stone
+    unsettled, so its first cascade also drops a stone far from the pick."""
+    assert Board.from_spec(desk_fixture())._settled
+    text = "board 2 3\nagents 1 1\ntask a H 1 0 0\ntask b R 1 1 0\ntask c E 1 1 2\n"
+    board = make_board(text)
+    assert not board._settled
+    slow = make_board(text)
+    assert board.remove_and_cascade("a").descents == reference_cascade(slow, "a") == [
+        ("c", 2, 1)
+    ]
+    assert board._settled and board.grid == slow.grid
 
 
 def snapshot(board: Board):

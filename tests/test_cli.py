@@ -1,12 +1,13 @@
 """Command line behaviour: outputs, files, exit codes, interactivity."""
 
+import hashlib
 import io
 import subprocess
 import sys
 
 import pytest
 
-from hrcsched import init_params, save_checkpoint
+from hrcsched import desk_fixture, init_params, save_checkpoint, serialize_jobspec
 from hrcsched.cli import main
 
 from conftest import TINY_TEXT
@@ -74,6 +75,29 @@ def test_solve_is_byte_deterministic(tiny_path, tmp_path, capsys):
         )
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+# makespan and SHA-256 of schedule.csv of ``solve`` on the desk job at 40
+# simulations and unlimited depth, per seed. A change to the search or to
+# the network's arithmetic that moves a schedule shows up here.
+DESK_SOLVES = {
+    0: (149, "b05b95b39431b7f00f1ccaf0dda8a20b33975fe8a9196c487d2ae29f38c973ae"),
+    1: (187, "bc4b7113f7f5fa9ddff0d60dce80a59b67a6964f02ec0986c8dfcf497f5a2b13"),
+    2: (181, "bc7d8b7d147e16f6bcef7ea3dd2682f0822fb209afbc15242462e9ce42868ccb"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_SOLVES))
+def test_desk_solve_schedules_are_pinned(seed, tmp_path, capsys):
+    job = tmp_path / "desk.job"
+    job.write_text(serialize_jobspec(desk_fixture()))
+    out = tmp_path / "solve"
+    argv = ["solve", "--jobspec", str(job), "--out", str(out), "--simulations", "40",
+            "--max-depth", "0", "--seed", str(seed)]
+    assert run_cli(argv) == 0
+    makespan, digest = DESK_SOLVES[seed]
+    assert capsys.readouterr().out == f"makespan {makespan}\n"
+    assert hashlib.sha256((out / "schedule.csv").read_bytes()).hexdigest() == digest
 
 
 def test_oracle_complete_output(tiny_path, tmp_path, capsys):

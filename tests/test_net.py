@@ -23,7 +23,7 @@ from hrcsched import (
     sgd_step,
     transition,
 )
-from hrcsched.net import network_width, plan_blocks
+from hrcsched.net import KERNEL, POOL, _conv2d, _maxpool, network_width, plan_blocks
 
 from conftest import TINY_TEXT
 
@@ -122,6 +122,67 @@ def test_zero_params_give_uniform_policy_and_zero_value():
     out = forward(params, np.zeros((4, 3, 3)))
     assert out.p.tolist() == [1 / 3, 1 / 3, 1 / 3]
     assert out.v == 0.0
+
+
+def reference_conv2d(x, w, b):
+    """Valid 2x2 convolution as one einsum per kernel offset."""
+    bsz, h, wd, _ = x.shape
+    oh, ow = h - KERNEL + 1, wd - KERNEL + 1
+    out = np.zeros((bsz, oh, ow, w.shape[0]))
+    for di in range(KERNEL):
+        for dj in range(KERNEL):
+            out += np.einsum("bhwc,fc->bhwf", x[:, di : di + oh, dj : dj + ow, :], w[:, di, dj, :])
+    return out + b
+
+
+def reference_maxpool(x):
+    """Each window's maximum, taken at its argmax."""
+    bsz, h, w, f = x.shape
+    h2, w2 = h // POOL, w // POOL
+    win = (
+        x[:, : h2 * POOL, : w2 * POOL, :]
+        .reshape(bsz, h2, POOL, w2, POOL, f)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(bsz, h2, w2, f, POOL * POOL)
+    )
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+
+# (batch, height, width, in channels, filters): the desk layers at batch 1
+# and 32, then tiny boards
+CONV_SHAPES = [
+    (1, 15, 8, 3, 10),
+    (1, 7, 3, 10, 10),
+    (32, 15, 8, 3, 10),
+    (32, 7, 3, 10, 10),
+    (3, 4, 3, 3, 4),
+    (2, 2, 2, 3, 4),
+    (1, 3, 2, 4, 1),
+]
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_matches_einsum_reference(shape):
+    bsz, h, w, ch, f = shape
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        x = rng.standard_normal((bsz, h, w, ch))
+        weights = rng.standard_normal((f, KERNEL, KERNEL, ch))
+        bias = rng.standard_normal(f)
+        got = _conv2d(x, weights, bias)
+        want = reference_conv2d(x, weights, bias)
+        assert got.shape == want.shape == (bsz, h - 1, w - 1, f)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(1, 14, 7, 10), (1, 6, 2, 10), (32, 14, 7, 10), (3, 3, 2, 4), (2, 5, 5, 1)])
+def test_maxpool_equals_argmax_reference_exactly(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        # a ReLU output: many exact zeros, so windows often tie
+        x = np.maximum(rng.standard_normal(shape), 0.0)
+        assert np.array_equal(_maxpool(x), reference_maxpool(x))
 
 
 def test_gradient_check_against_finite_differences():
@@ -323,6 +384,18 @@ def test_net_evaluator_interface_and_cache():
     moved, _, _ = transition(state, pick("A"))
     ev(moved)
     assert len(ev._cache) == 2
+    # the same layout at another clock: cache hit
+    later = moved.copy()
+    later.clock += 5
+    assert ev(later) is ev(moved)
+    assert len(ev._cache) == 2
+    # the same stones, one of them a row higher: a different layout
+    floating = initial_state(
+        parse_jobspec("board 2 2\nagents 1 1\ntask B R 3 0 1\ntask C E 4 1 0\n")
+    )
+    assert sorted(floating.board.stones) == sorted(moved.board.stones)
+    ev(floating)
+    assert len(ev._cache) == 3
 
 
 def test_uniform_evaluator():

@@ -1,5 +1,8 @@
 """Tree-search selection, backup, and end-to-end play on tiny boards."""
 
+import math
+
+import numpy as np
 import pytest
 
 from hrcsched import (
@@ -8,17 +11,28 @@ from hrcsched import (
     SearchNode,
     SearchTree,
     UniformEvaluator,
+    desk_fixture,
     initial_state,
     is_stalled,
+    is_terminal,
+    legal_actions,
+    next_agent,
     parse_jobspec,
     run_episode,
     search,
     transition,
 )
 from hrcsched.game import pick
-from hrcsched.search import Edge, backup, expand_and_evaluate, masked_priors, select_edge
+from hrcsched.search import (
+    Edge,
+    _edge_order_key,
+    backup,
+    expand_and_evaluate,
+    masked_priors,
+    select_edge,
+)
 
-from conftest import TINY_TEXT
+from conftest import TINY_TEXT, random_instance
 
 
 def tiny_state():
@@ -64,6 +78,92 @@ def test_select_edge_tie_breaks():
     c = Edge(action=pick("C"), prior=0.5, visits=1, total_value=-1.0)
     node = make_node([n, c])
     assert select_edge(node, 0.0) is c
+
+
+def reference_select_edge(node: SearchNode, c_puct: float) -> Edge:
+    """The definition ``select_edge`` must match: the edge with the largest
+    (score,) + order key tuple, the first such edge on a full tie."""
+    sqrt_total = math.sqrt(sum(e.visits for e in node.edges))
+    best = None
+    best_key = None
+    for edge in node.edges:
+        score = edge.mean_value + c_puct * edge.prior * sqrt_total / (1 + edge.visits)
+        key = (score,) + _edge_order_key(edge, node.state)
+        if best_key is None or key > best_key:
+            best, best_key = edge, key
+    return best
+
+
+def test_select_edge_matches_reference_on_exact_ties():
+    """Seeded random edge sets drawn from few priors, visit counts and mean
+    values, so exact score ties are common: NoOp among the tied edges,
+    equal priors in different columns, and stones sharing a column."""
+    rng = np.random.default_rng(5)
+    state = initial_state(desk_fixture())
+    tasks = sorted(state.job.tasks)
+    tied = noop_tied = column_tied = 0
+    for _ in range(4000):
+        chosen = rng.choice(len(tasks), size=int(rng.integers(1, 7)), replace=False)
+        actions = [pick(tasks[i]) for i in chosen]
+        if rng.random() < 0.7:
+            actions.insert(int(rng.integers(0, len(actions) + 1)), NOOP)
+        edges = []
+        for action in actions:
+            visits = int(rng.choice([0, 0, 1, 2]))
+            q = float(rng.choice([0.0, -1.0, -2.0]))
+            prior = float(rng.choice([0.125, 0.25, 0.5]))
+            edges.append(Edge(action=action, prior=prior, visits=visits, total_value=q * visits))
+        node = SearchNode(state=state, depth=0)
+        node.edges = edges
+        c_puct = float(rng.choice([0.0, 1.0, 100.0]))
+        assert select_edge(node, c_puct) is reference_select_edge(node, c_puct)
+
+        sqrt_total = math.sqrt(sum(e.visits for e in edges))
+        scores = [e.mean_value + c_puct * e.prior * sqrt_total / (1 + e.visits) for e in edges]
+        top = [e for e, sc in zip(edges, scores) if sc == max(scores)]
+        if len(top) > 1:
+            tied += 1
+            noop_tied += any(e.action.is_noop for e in top)
+            best = [e for e in top if e.prior == max(t.prior for t in top)]
+            cols = {state.job.tasks[e.action.task].col for e in best if not e.action.is_noop}
+            column_tied += len(cols) > 1
+    assert tied > 1000 and noop_tied > 300 and column_tied > 300
+
+
+def walk(node: SearchNode):
+    yield node
+    for edge in node.edges or ():
+        if edge.child is not None:
+            yield from walk(edge.child)
+
+
+def test_node_flags_match_state_over_random_play():
+    """Every node of trees grown along seeded random episodes stores the
+    terminal and stalled status of its own state."""
+    rng = np.random.default_rng(11)
+    jobs = [(desk_fixture(), True, 20)]
+    jobs += [(random_instance(seed), seed % 2 == 0, 60) for seed in range(60)]
+    seen = {"terminal": 0, "stalled": 0, "nodes": 0}
+    for spec, strict, simulations in jobs:
+        state = initial_state(spec, strict=strict)
+        config = SearchConfig(simulations=simulations, max_depth=None, c_puct=2.0)
+        tree = SearchTree(state, UniformEvaluator(spec.width), config)
+        while not tree.root.terminal:
+            tree.run()
+            for node in walk(tree.root):
+                assert node.terminal == is_terminal(node.state)
+                assert node.stalled == is_stalled(node.state)
+                seen["nodes"] += 1
+                seen["terminal"] += node.terminal
+                seen["stalled"] += node.stalled
+            actions = legal_actions(tree.root.state, next_agent(tree.root.state))
+            action = actions[int(rng.integers(len(actions)))]
+            if len(actions) > 1 and action.is_noop and rng.random() < 0.7:
+                action = actions[0]  # random play that mostly keeps working
+            tree.advance_root(action)
+            if tree.root.stalled:
+                break
+    assert seen["nodes"] > 8000 and seen["terminal"] > 400 and seen["stalled"] > 400
 
 
 def test_backup_adds_reward_from_each_edge_onward():
