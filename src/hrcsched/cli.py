@@ -27,24 +27,15 @@ from .game import (
     NOOP,
     episode_log_csv,
     initial_state,
-    is_stalled,
-    is_terminal,
     legal_actions,
-    next_agent,
+    noop_stalls,
+    play,
     schedule_csv,
-    schedule_rows_csv,
-    transition,
 )
 from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, JobSpecError, parse_jobspec
 from .net import CheckpointError, NetEvaluator, init_params, load_checkpoint
 from .search import SearchConfig, SearchTree
-from .selfplay import (
-    TrainingConfig,
-    avoid_stall,
-    generate_episode,
-    training_log_csv,
-    training_loop,
-)
+from .selfplay import TrainingConfig, search_chooser, training_log_csv, training_loop
 
 SEED_ENV = "HRC_SEED"
 
@@ -181,9 +172,8 @@ def _write(out_dir, name: str, text: str) -> str:
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed, strict)
-    record, _ = generate_episode(
-        spec, evaluator, config, seed=seed, temperature_moves=0, strict=strict
-    )
+    tree = SearchTree(initial_state(spec, strict=strict), evaluator, config)
+    record = play(spec, search_chooser(tree, 0), seed=seed, strict=strict)
     _write(args.out, "schedule.csv", schedule_csv(record))
     _write(args.out, "episode_log.csv", episode_log_csv(record))
     print(f"makespan {record.makespan}")
@@ -272,9 +262,9 @@ def _unpickable_reason(state, agent, tid: str) -> str:
     return "not available"
 
 
-def _prompt_human(state, agent, actions, out):
+def _prompt_human(state, agent, out):
     """One command from the operator. Returns the action, or None to quit."""
-    picks = {a.task: a for a in actions if not a.is_noop}
+    picks = {a.task: a for a in legal_actions(state, agent) if not a.is_noop}
     print(file=out)
     print(state.board.render(), file=out)
     print(f"clock {state.clock}", file=out)
@@ -312,48 +302,37 @@ def _prompt_human(state, agent, actions, out):
 def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed, strict)
-    state = initial_state(spec, strict=strict)
-    tree = SearchTree(state, evaluator, config)
+    tree = SearchTree(initial_state(spec, strict=strict), evaluator, config)
+    robots = search_chooser(tree, 0)
     out = sys.stdout
-    schedule = {a: [] for a in state.job.roster}
+    stopped = False
 
-    while not is_terminal(state):
-        agent = next_agent(state)
-        actions = legal_actions(state, agent)
+    def choose(state, agent, rng):
+        nonlocal stopped
         if agent.is_human:
-            chosen = _prompt_human(state, agent, actions, out)
-            if chosen is None:
-                print(f"stopped at clock {state.clock}", file=out)
-                _write(args.out, "schedule.csv", schedule_rows_csv(schedule))
-                return 0
-            if chosen.is_noop and _would_stall(state, chosen):
+            action = _prompt_human(state, agent, out)
+            while action == NOOP and noop_stalls(state):
                 print("waiting now would leave every agent idle; pick a task", file=out)
-                continue
+                action = _prompt_human(state, agent, out)
+            if action is None:
+                print(f"stopped at clock {state.clock}", file=out)
+                stopped = True
+                return None
+            tree.advance_root(action)
+            step = action, None, tree.root.state
         else:
-            pairs, chosen = tree.run()
-            chosen = avoid_stall(state, chosen, pairs)
-            if chosen.is_noop:
-                print(f"{agent} waits", file=out)
-            else:
-                print(f"{agent} starts {chosen.task}", file=out)
+            step = robots(state, agent, rng)
+            action = step[0]
+            print(f"{agent} waits" if action.is_noop else f"{agent} starts {action.task}", file=out)
+        if step[2].clock != state.clock:
+            print(f"clock advances to {step[2].clock}", file=out)
+        return step
 
-        if not chosen.is_noop:
-            duration = state.job.tasks[chosen.task].duration
-            schedule[agent].append((chosen.task, state.clock, state.clock + duration))
-        tree.advance_root(chosen)
-        previous = state.clock
-        state = tree.root.state
-        if state.clock != previous:
-            print(f"clock advances to {state.clock}", file=out)
-
-    _write(args.out, "schedule.csv", schedule_rows_csv(schedule))
-    print(f"makespan {state.clock}", file=out)
+    record = play(spec, choose, seed=seed, strict=strict, record_decisions=False)
+    _write(args.out, "schedule.csv", schedule_csv(record))
+    if not stopped:
+        print(f"makespan {record.makespan}", file=out)
     return 0
-
-
-def _would_stall(state, action) -> bool:
-    nxt, _, _ = transition(state, action)
-    return is_stalled(nxt)
 
 
 def main(argv=None) -> int:

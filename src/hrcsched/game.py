@@ -17,7 +17,7 @@ game, even in the same epoch it descended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,12 +292,26 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
     return nxt, 0, False
 
 
+def noop_stalls(state: GameState) -> bool:
+    """Whether the pending agent may not decline: nobody is busy and no agent
+    still to act after it this epoch holds a legal pick, so the epoch could
+    only end with every agent idle."""
+    if any(st.busy for st in state.agents.values()):
+        return False
+    pending = next_agent(state)
+    return all(
+        legal_actions(state, agent) == [NOOP]
+        for agent in state.job.roster
+        if agent != pending and agent not in state.declined
+    )
+
+
 @dataclass
 class Decision:
     state: GameState
     agent: Agent
     action: AgentAction
-    policy: np.ndarray  # length-width distribution over columns
+    policy: np.ndarray | None  # distribution over columns; None from a plain chooser
     epoch: int
 
 
@@ -305,7 +319,7 @@ class Decision:
 class EpisodeRecord:
     decisions: list[Decision]
     rewards: list[int]
-    makespan: int
+    makespan: int  # the clock at the end of play, a stopped episode's included
     schedule: dict[Agent, list[tuple[str, int, int]]]
 
     @property
@@ -313,25 +327,19 @@ class EpisodeRecord:
         return sum(self.rewards)
 
 
-def _onehot_policy(state: GameState, action: AgentAction) -> np.ndarray:
-    policy = np.zeros(state.job.spec.width)
-    if not action.is_noop:
-        policy[state.job.tasks[action.task].col] = 1.0
-    return policy
-
-
-def run_episode(
+def play(
     spec: JobSpec,
     chooser,
     seed: int = 0,
     strict: bool = True,
     record_decisions: bool = True,
 ) -> EpisodeRecord:
-    """Play one episode to completion.
+    """Play one episode until it completes or the chooser stops it.
 
-    ``chooser(state, agent, actions, rng)`` returns one of ``actions``.
-    Raises DeadlockError if an epoch ends with every agent idle and tasks
-    still on the board (a policy must keep at least one agent working).
+    ``chooser(state, agent, rng)`` makes the pending agent's move and returns
+    ``(action, column policy or None, transition(state, action)'s state)``,
+    or None to stop play with the record so far. Raises DeadlockError if an
+    epoch ends with every agent idle and tasks still on the board.
     """
     state = initial_state(spec, strict=strict)
     rng = np.random.default_rng(seed)
@@ -342,45 +350,52 @@ def run_episode(
 
     while not is_terminal(state):
         agent = next_agent(state)
-        if agent is None:
-            raise DeadlockError(
-                "all agents idle with tasks remaining; no assignment was made this epoch"
-            )
-        actions = legal_actions(state, agent)
-        action = chooser(state, agent, actions, rng)
-        if action not in actions:
-            raise IllegalActionError(f"chooser returned {action} which is not legal")
+        step = chooser(state, agent, rng)
+        if step is None:
+            break
+        action, policy, nxt = step
         if record_decisions:
-            decisions.append(
-                Decision(state.copy(), agent, action, _onehot_policy(state, action), epoch)
-            )
+            decisions.append(Decision(state, agent, action, policy, epoch))
         if not action.is_noop:
             start = state.clock
             schedule[agent].append(
                 (action.task, start, start + state.job.tasks[action.task].duration)
             )
-        state, reward, advanced = transition(state, action)
-        if advanced:
-            rewards.append(reward)
+        # durations are positive, so an epoch closes exactly when time moves
+        if nxt.clock != state.clock:
+            rewards.append(state.clock - nxt.clock)
             epoch += 1
-        elif is_stalled(state):
+        elif is_stalled(nxt):
             raise DeadlockError("every idle agent declined while nobody is busy")
+        state = nxt
 
     return EpisodeRecord(
         decisions=decisions, rewards=rewards, makespan=state.clock, schedule=schedule
     )
 
 
+def run_episode(
+    spec: JobSpec,
+    chooser,
+    seed: int = 0,
+    strict: bool = True,
+    record_decisions: bool = True,
+) -> EpisodeRecord:
+    """``play`` with a plain chooser: ``chooser(state, agent, actions, rng)``
+    returns one of ``actions``, and ``transition`` rejects anything else."""
+
+    def step(state, agent, rng):
+        action = chooser(state, agent, legal_actions(state, agent), rng)
+        return action, None, transition(state, action)[0]
+
+    return play(spec, step, seed=seed, strict=strict, record_decisions=record_decisions)
+
+
 def schedule_csv(record: EpisodeRecord) -> str:
-    """CSV of task intervals, one row per assignment."""
-    return schedule_rows_csv(record.schedule)
-
-
-def schedule_rows_csv(schedule: dict[Agent, list[tuple[str, int, int]]]) -> str:
-    """CSV of the (task, start, end) intervals of each agent, in order."""
+    """CSV of task intervals, one row per assignment, each agent's in order."""
     lines = ["agent,task,start,end"]
-    for agent in schedule:
-        for task, start, end in schedule[agent]:
+    for agent, intervals in record.schedule.items():
+        for task, start, end in intervals:
             lines.append(f"{agent},{task},{start},{end}")
     return "\n".join(lines) + "\n"
 

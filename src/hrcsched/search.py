@@ -158,6 +158,14 @@ def backup(path: list[tuple[SearchNode, Edge]], leaf_value: float) -> None:
         node.visits += 1
 
 
+def _child(node: SearchNode, edge: Edge) -> SearchNode:
+    """The node behind ``edge``, built by one transition on first use."""
+    if edge.child is None:
+        child_state, edge.reward, advanced = transition(node.state, edge.action)
+        edge.child = SearchNode(state=child_state, depth=node.depth + int(advanced))
+    return edge.child
+
+
 def _stall_value(state: GameState) -> float:
     # Strictly worse than any real completion, which costs at most the
     # serial sum of all durations.
@@ -214,12 +222,8 @@ class SearchTree:
 
         while node.edges:  # expanded and not terminal
             edge = select_edge(node, cfg.c_puct)
-            if edge.child is None:
-                child_state, reward, advanced = transition(node.state, edge.action)
-                edge.reward = reward
-                edge.child = SearchNode(state=child_state, depth=node.depth + int(advanced))
             path.append((node, edge))
-            node = edge.child
+            node = _child(node, edge)
             if node.terminal or node.stalled:
                 break
             if self._depth_capped(node):
@@ -247,19 +251,7 @@ class SearchTree:
             expand_and_evaluate(self.root, self.evaluator, self.config.noop_prior)
         for edge in self.root.edges:
             if edge.action == action:
-                if edge.child is None:
-                    child_state, reward, advanced = transition(self.root.state, action)
-                    edge.reward = reward
-                    edge.child = SearchNode(
-                        state=child_state, depth=self.root.depth + int(advanced)
-                    )
-                self.root = edge.child
+                self.root = _child(self.root, edge)
                 return
         raise ValueError(f"{action} is not an edge of the root")
 
-
-def search(
-    state: GameState, evaluator, config: SearchConfig | None = None
-) -> tuple[list[tuple[AgentAction, float]], AgentAction]:
-    """One-shot search from a state; builds a fresh tree and runs it."""
-    return SearchTree(state, evaluator, config).run()

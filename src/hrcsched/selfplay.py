@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (
-    Decision,
-    DeadlockError,
-    EpisodeRecord,
-    initial_state,
-    is_stalled,
-    is_terminal,
-    next_agent,
-    transition,
-)
+from .game import DeadlockError, EpisodeRecord, initial_state, noop_stalls, play
 from .jobspec import JobSpec
 from .net import (
     NetEvaluator,
@@ -80,16 +71,41 @@ def _column_policy(state, policy_pairs) -> np.ndarray:
 
 
 def avoid_stall(state, chosen, policy_pairs):
-    """Declining is not playable when it would leave every agent idle."""
-    if not chosen.is_noop:
-        return chosen
-    nxt, _, _ = transition(state, chosen)
-    if not is_stalled(nxt):
+    """Declining is not playable when it would leave every agent idle with
+    nothing left to pick this epoch (``noop_stalls``); the most likely pick
+    is played instead."""
+    if not chosen.is_noop or not noop_stalls(state):
         return chosen
     picks = [(a, p) for a, p in policy_pairs if not a.is_noop]
     if not picks:
         raise DeadlockError("nothing to work on and nobody busy")
     return max(picks, key=lambda ap: ap[1])[0]
+
+
+def search_chooser(tree: SearchTree, temperature_moves: int):
+    """A ``play`` chooser that searches ``tree`` for every decision and
+    reuses its subtree for the next.
+
+    The first ``temperature_moves`` decisions sample from the visit
+    distribution; later ones take the most-visited action. The step's
+    policy is the visits folded onto columns, and its next state is the
+    child the tree already holds.
+    """
+    moves = 0
+
+    def choose(state, agent, rng):
+        nonlocal moves
+        policy_pairs, chosen = tree.run()
+        if moves < temperature_moves and len(policy_pairs) > 1:
+            probs = np.asarray([p for _, p in policy_pairs])
+            probs = probs / probs.sum()
+            chosen = policy_pairs[int(rng.choice(len(policy_pairs), p=probs))][0]
+        moves += 1
+        chosen = avoid_stall(state, chosen, policy_pairs)
+        tree.advance_root(chosen)
+        return chosen, _column_policy(state, policy_pairs), tree.root.state
+
+    return choose
 
 
 def generate_episode(
@@ -100,69 +116,25 @@ def generate_episode(
     temperature_moves: int = 4,
     strict: bool = True,
 ) -> tuple[EpisodeRecord, list[TrainingExample]]:
-    """Play one search-guided episode, reusing the tree between decisions.
+    """Play one search-guided episode (``search_chooser``) and turn its
+    decisions into training examples.
 
-    The first ``temperature_moves`` micro-decisions sample from the visit
-    distribution; later ones take the most-visited action. Examples are
-    produced when the evaluator exposes its input height and width.
+    Examples are produced when the evaluator exposes its input height and
+    width; a decision whose visits all went to NoOp produces none.
     """
-    config = search_config or SearchConfig()
-    rng = np.random.default_rng(seed)
-    state = initial_state(spec, strict=strict)
-    tree = SearchTree(state, evaluator, config)
-    encode_dims = (
-        (evaluator.height, evaluator.width)
-        if hasattr(evaluator, "height") and hasattr(evaluator, "width")
-        else None
-    )
-
-    decisions: list[Decision] = []
-    rewards: list[int] = []
-    schedule = {a: [] for a in state.job.roster}
-    epoch = 0
-    move = 0
-
-    while not is_terminal(state):
-        agent = next_agent(state)
-        policy_pairs, chosen = tree.run()
-        if move < temperature_moves and len(policy_pairs) > 1:
-            probs = np.asarray([p for _, p in policy_pairs])
-            probs = probs / probs.sum()
-            chosen = policy_pairs[int(rng.choice(len(policy_pairs), p=probs))][0]
-        move += 1
-        chosen = avoid_stall(state, chosen, policy_pairs)
-
-        decisions.append(
-            Decision(state.copy(), agent, chosen, _column_policy(state, policy_pairs), epoch)
+    tree = SearchTree(initial_state(spec, strict=strict), evaluator, search_config)
+    record = play(spec, search_chooser(tree, temperature_moves), seed=seed, strict=strict)
+    if not (hasattr(evaluator, "height") and hasattr(evaluator, "width")):
+        return record, []
+    examples = [
+        TrainingExample(
+            x=encode_state(d.state, evaluator.height, evaluator.width),
+            policy=d.policy,
+            value=float(d.state.clock - record.makespan),
         )
-        if not chosen.is_noop:
-            start = state.clock
-            schedule[agent].append(
-                (chosen.task, start, start + state.job.tasks[chosen.task].duration)
-            )
-
-        tree.advance_root(chosen)
-        previous_clock = state.clock
-        state = tree.root.state
-        if state.clock != previous_clock:
-            rewards.append(previous_clock - state.clock)
-            epoch += 1
-
-    record = EpisodeRecord(
-        decisions=decisions, rewards=rewards, makespan=state.clock, schedule=schedule
-    )
-
-    examples: list[TrainingExample] = []
-    if encode_dims is not None:
-        for d in decisions:
-            if d.policy.sum() > 0:
-                examples.append(
-                    TrainingExample(
-                        x=encode_state(d.state, *encode_dims),
-                        policy=d.policy,
-                        value=float(d.state.clock - record.makespan),
-                    )
-                )
+        for d in record.decisions
+        if d.policy.sum() > 0
+    ]
     return record, examples
 
 

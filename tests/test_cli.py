@@ -77,13 +77,26 @@ def test_solve_is_byte_deterministic(tiny_path, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# makespan and SHA-256 of schedule.csv of ``solve`` on the desk job at 40
-# simulations and unlimited depth, per seed. A change to the search or to
-# the network's arithmetic that moves a schedule shows up here.
+# makespan and SHA-256 of schedule.csv and of episode_log.csv of ``solve``
+# on the desk job at 40 simulations and unlimited depth, per seed. A change
+# to the search, to the episode driver or to the network's arithmetic that
+# moves a schedule or a logged decision shows up here.
 DESK_SOLVES = {
-    0: (149, "b05b95b39431b7f00f1ccaf0dda8a20b33975fe8a9196c487d2ae29f38c973ae"),
-    1: (187, "bc4b7113f7f5fa9ddff0d60dce80a59b67a6964f02ec0986c8dfcf497f5a2b13"),
-    2: (181, "bc7d8b7d147e16f6bcef7ea3dd2682f0822fb209afbc15242462e9ce42868ccb"),
+    0: (
+        149,
+        "b05b95b39431b7f00f1ccaf0dda8a20b33975fe8a9196c487d2ae29f38c973ae",
+        "30b14dcf2b6a7647d9a1ec821d859e21b191a09631252b7d531a27174cbfb955",
+    ),
+    1: (
+        187,
+        "bc4b7113f7f5fa9ddff0d60dce80a59b67a6964f02ec0986c8dfcf497f5a2b13",
+        "af0986239a07992da55c2b0ef8da65a04784bbe1015e94d0d175854786846ada",
+    ),
+    2: (
+        181,
+        "bc7d8b7d147e16f6bcef7ea3dd2682f0822fb209afbc15242462e9ce42868ccb",
+        "e921242a63e4305bd9c5ec46d02296bbdf2218e31e41af5393656026f0743092",
+    ),
 }
 
 
@@ -95,9 +108,10 @@ def test_desk_solve_schedules_are_pinned(seed, tmp_path, capsys):
     argv = ["solve", "--jobspec", str(job), "--out", str(out), "--simulations", "40",
             "--max-depth", "0", "--seed", str(seed)]
     assert run_cli(argv) == 0
-    makespan, digest = DESK_SOLVES[seed]
+    makespan, schedule_digest, log_digest = DESK_SOLVES[seed]
     assert capsys.readouterr().out == f"makespan {makespan}\n"
-    assert hashlib.sha256((out / "schedule.csv").read_bytes()).hexdigest() == digest
+    assert hashlib.sha256((out / "schedule.csv").read_bytes()).hexdigest() == schedule_digest
+    assert hashlib.sha256((out / "episode_log.csv").read_bytes()).hexdigest() == log_digest
 
 
 def test_oracle_complete_output(tiny_path, tmp_path, capsys):
@@ -288,6 +302,24 @@ def test_train_is_byte_deterministic(tiny_path, tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_desk_training_log_is_pinned(tmp_path, capsys):
+    # two iterations of two self-play episodes cover example building, the
+    # replay buffer and SGD; losses are printed to six significant digits,
+    # so the low bits a BLAS library may move do not show
+    job = tmp_path / "desk.job"
+    job.write_text(serialize_jobspec(desk_fixture()))
+    out = tmp_path / "train"
+    argv = ["train", "--jobspec", str(job), "--out", str(out), "--iterations", "2",
+            "--episodes", "2", "--seed", "0"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert (out / "training_log.csv").read_text() == (
+        "iteration,episodes,mean_makespan,best_makespan,policy_loss,value_loss\n"
+        "0,2,157.5,157,6.59263,8151.12\n"
+        "1,2,157,157,4.07308,482.997\n"
+    )
+
+
 def advise_session(tiny_path, tmp_path, capsys, monkeypatch, script, extra=()):
     monkeypatch.setattr("sys.stdin", io.StringIO(script))
     out = tmp_path / "advise"
@@ -300,12 +332,15 @@ def test_advise_full_session(tiny_path, tmp_path, capsys, monkeypatch):
         tiny_path, tmp_path, capsys, monkeypatch, "pick A\nwait\nwait\n"
     )
     assert code == 0
-    assert "H1 may pick: A, C" in text
-    assert "R1 starts C" in text
-    assert "clock advances to 2" in text
-    assert "clock advances to 4" in text
-    assert "R1 starts B" in text
-    assert "makespan 7" in text
+    assert text == (
+        "\nR.\nHE\nclock 0\nH1 may pick: A, C\nH1> "
+        "R1 starts C\nclock advances to 2\n"
+        "\n..\nR.\nclock 2\nR1 is working on C, 2 left\nH1 may pick: nothing\nH1> "
+        "clock advances to 4\n"
+        "\n..\nR.\nclock 4\nH1 may pick: nothing\nH1> "
+        "R1 starts B\nclock advances to 7\n"
+        "makespan 7\n"
+    )
     schedule = (out / "schedule.csv").read_text()
     assert schedule == "agent,task,start,end\nH1,A,0,2\nR1,C,0,4\nR1,B,4,7\n"
 
@@ -325,7 +360,7 @@ def test_advise_rejects_bad_input_then_recovers(tiny_path, tmp_path, capsys, mon
 def test_advise_quit_writes_partial_schedule(tiny_path, tmp_path, capsys, monkeypatch):
     code, text, out = advise_session(tiny_path, tmp_path, capsys, monkeypatch, "quit\n")
     assert code == 0
-    assert "stopped at clock 0" in text
+    assert text == "\nR.\nHE\nclock 0\nH1 may pick: A, C\nH1> stopped at clock 0\n"
     assert (out / "schedule.csv").read_text() == "agent,task,start,end\n"
 
 
@@ -345,6 +380,20 @@ def test_advise_refuses_stalling_wait(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "waiting now would leave every agent idle; pick a task" in text
     assert "makespan 1" in text
+
+
+def test_advise_refuses_wait_that_leaves_no_pick(tiny_path, tmp_path, capsys, monkeypatch):
+    # at clock 4 the robot is yet to act but holds no pick, so the human's
+    # second wait is refused rather than stalling the robot's forced wait
+    code, text, out = advise_session(
+        tiny_path, tmp_path, capsys, monkeypatch, "wait\nwait\npick A\nwait\n"
+    )
+    assert code == 0
+    assert "H1> waiting now would leave every agent idle; pick a task\n" in text
+    assert text.endswith("makespan 9\n")
+    assert (out / "schedule.csv").read_text() == (
+        "agent,task,start,end\nH1,A,4,6\nR1,C,0,4\nR1,B,6,9\n"
+    )
 
 
 def test_module_entry_point(tiny_path, tmp_path):

@@ -169,6 +169,8 @@ def test_run_episode_greedy_trace():
     assert record.total_reward == -7
     assert record.schedule[H1] == [("A", 0, 2)]
     assert record.schedule[R1] == [("C", 0, 4), ("B", 4, 7)]
+    # a plain chooser gives no policy
+    assert [d.policy for d in record.decisions] == [None] * len(record.decisions)
 
 
 def test_run_episode_waiting_beats_greedy():

@@ -19,7 +19,6 @@ from hrcsched import (
     next_agent,
     parse_jobspec,
     run_episode,
-    search,
     transition,
 )
 from hrcsched.game import pick
@@ -293,8 +292,8 @@ def test_policy_is_a_distribution_over_visits():
 
 def test_search_is_deterministic():
     cfg = SearchConfig(simulations=40)
-    first = search(tiny_state(), UniformEvaluator(2), cfg)
-    second = search(tiny_state(), UniformEvaluator(2), cfg)
+    first = SearchTree(tiny_state(), UniformEvaluator(2), cfg).run()
+    second = SearchTree(tiny_state(), UniformEvaluator(2), cfg).run()
     assert first == second
 
 

@@ -85,6 +85,18 @@ def test_avoid_stall():
         avoid_stall(declined, NOOP, [(NOOP, 1.0)])
 
 
+def test_avoid_stall_counts_agents_left_without_a_pick():
+    state = initial_state(parse_jobspec(TINY_TEXT))
+    state, _, _ = transition(state, NOOP)
+    state, _, _ = transition(state, pick("C"))
+    assert state.clock == 4
+    # the robot is still to act, but A is human-only and B is buried, so a
+    # wait by the human would leave every agent idle all the same
+    assert avoid_stall(state, NOOP, [(pick("A"), 0.3), (NOOP, 0.7)]) == pick("A")
+    with pytest.raises(DeadlockError):
+        avoid_stall(state, NOOP, [(NOOP, 1.0)])
+
+
 def test_generate_episode_is_deterministic():
     spec = parse_jobspec(TINY_TEXT)
     cfg = SearchConfig(simulations=20)
