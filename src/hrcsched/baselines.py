@@ -9,10 +9,11 @@ when the budget cuts the run short. Sequences whose epoch closes with no
 agent busy are dead ends (time could never advance) and are not counted as
 routes.
 
-The search is one recursive closure over flat state: agents and tasks are
-bitmasks, busy agents' tasks and finish times sit in two lists, and a pick
-removes its stone from a flat grid and chases the cells it empties, undoing
-the descents on the way back. A node counts its children itself. On a
+The search is one recursive closure over the game's flat state (see
+``game.py``): agents and tasks are bitmasks, busy agents' tasks and finish
+times sit in two lists, and a pick runs ``board.cascade``, the gravity
+routine the game itself uses, on one layout in place, undoing the
+descents it returns on the way back. A node counts its children itself. On a
 pass's last level that needs no board work: whether a child finishes the
 job, stalls or waits on the frontier, and at what clock, follows from the
 agents' tasks and finish times alone, never from where stones lie. So
@@ -20,8 +21,8 @@ those children are counted without removing a stone or recursing, yet each
 is still one visit checked against the budget in the same depth-first
 order, which keeps every count, the optimum's tie-break and the point
 where the budget stops exactly those of a search that visits them one by
-one. A layout with floating stones settles on a route's first pick, as
-``Board`` does.
+one. A layout with floating stones settles on a route's first pick, as it
+does in play.
 
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.
@@ -34,9 +35,9 @@ from math import inf
 
 import numpy as np
 
-from .board import Board
-from .game import run_episode
-from .jobspec import EITHER, HUMAN_ONLY, JobSpec, derive_precedence
+from .board import cascade
+from .game import JobContext, run_episode
+from .jobspec import JobSpec
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -78,32 +79,14 @@ def exhaustive_search(
     true lower bound for any legal play. The budget counts prefix visits
     summed over all deepening passes.
     """
-    w = spec.width
-    tasks = spec.tasks
-    ids = [t.id for t in tasks]
-    col = [t.col for t in tasks]
-    span = [t.span for t in tasks]
-    dur = [t.duration for t in tasks]
-    row = [t.row for t in tasks]  # current row of every stone still on the board
-    grid = [-1] * (w * spec.height)  # task index per cell, bottom row first
-    for i, t in enumerate(tasks):
-        for c in range(t.col, t.col + t.span):
-            grid[t.row * w + c] = i
-    pred = [0] * len(tasks)  # mask of direct predecessors, empty in literal mode
-    if strict:
-        index = {tid: i for i, tid in enumerate(ids)}
-        for tid, preds in derive_precedence(spec).items():
-            for p in preds:
-                pred[index[tid]] |= 1 << index[p]
-    labels = [f"H{i + 1}" for i in range(spec.humans)] + [f"R{i + 1}" for i in range(spec.robots)]
-    # mask of the tasks each agent may do
-    ok = [sum(1 << i for i, t in enumerate(tasks) if t.kind in (HUMAN_ONLY, EITHER))] * spec.humans
-    ok += [sum(1 << i for i, t in enumerate(tasks) if t.kind != HUMAN_ONLY)] * spec.robots
+    job = JobContext.build(spec, strict=strict)
+    w, col, span, dur = job.width, job.col, job.span, job.duration
+    ids, pred, ok = job.ids, job.pred, job.ok  # ok: the mask of tasks each agent may do
+    grid, row = list(job.cells), list(job.rows)  # the layout, changed in place and undone
+    settled = job.settled
+    labels = [str(a) for a in job.roster]
     everyone = (1 << len(labels)) - 1
-    full = (1 << len(tasks)) - 1
-    top = w * (spec.height - 1)
-    # A layout with floating stones settles on its first pick, as Board does.
-    floating = not Board.from_spec(spec).is_gravity_fixpoint()
+    full = job.full
     doing = [0] * len(labels)  # task bit of each busy agent
     finish = [0] * len(labels)  # clock at which each busy agent's task completes
     stack: list[tuple[int, int]] = []  # (agent, task or -1 to decline) per move
@@ -186,7 +169,6 @@ def exhaustive_search(
             return
 
         saved = doing[agent], finish[agent]
-        settle = floating and idle == everyone and not completed
         for t in moves:
             if visits >= node_budget:
                 raise _BudgetStop
@@ -220,46 +202,18 @@ def exhaustive_search(
                 expand(depth, *child)
                 stack.pop()
                 continue
-            # Remove the stone and let what it held up fall. A fall never
-            # blocks another, so chasing the cells emptied reaches the same
-            # fixpoint as full settling passes; the first pick of a route
-            # on a floating layout chases every cell.
-            lo = col[t]
-            hi = lo + span[t]
-            for c in range(lo, hi):
-                grid[c] = -1
-            queue = list(range(top) if settle else range(lo, hi))
-            moved = []
-            while queue:
-                cell = queue.pop()
-                if cell >= top:
-                    continue
-                s = grid[cell + w]
-                if s < 0:
-                    continue
-                blo = (row[s] - 1) * w + col[s]
-                bhi = blo + span[s]
-                for cc in range(blo, bhi):
-                    if grid[cc] >= 0:
-                        break
-                else:
-                    for cc in range(blo, bhi):
-                        grid[cc] = s
-                        grid[cc + w] = -1
-                    row[s] -= 1
-                    moved.append(s)
-                    queue.extend(range(blo + w, bhi + w))
-                    if blo >= w:
-                        queue.extend(range(blo - w, bhi - w))
+            # The first pick of a route on a floating layout settles it.
+            fell = cascade(grid, row, col, span, w, t, settled or idle != everyone or completed)
             expand(depth, *child)
             stack.pop()
-            for s in reversed(moved):
-                lo_s = row[s] * w + col[s]
-                for cc in range(lo_s, lo_s + span[s]):
+            for s in reversed(fell):
+                lo = row[s] * w + col[s]
+                for cc in range(lo, lo + span[s]):
                     grid[cc + w] = s
                     grid[cc] = -1
                 row[s] += 1
-            for c in range(lo, hi):
+            row[t] = 0
+            for c in range(col[t], col[t] + span[t]):
                 grid[c] = t
         doing[agent], finish[agent] = saved
 
@@ -323,10 +277,10 @@ def random_rollouts(
     declining happens only when an agent has no pick at all."""
 
     def chooser(state, agent, actions, rng):
-        picks = [a for a in actions if not a.is_noop]
+        picks = len(actions) - 1  # the picks come first, NoOp last
         if not picks:
-            return actions[-1]  # NoOp is always last
-        return picks[int(rng.integers(len(picks)))]
+            return actions[-1]
+        return actions[int(rng.integers(picks))]
 
     seeds = np.random.SeedSequence(seed).generate_state(max(trajectories, 1), dtype=np.uint64)
     makespans = []

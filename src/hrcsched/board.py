@@ -1,15 +1,22 @@
-"""Board state and gravity for the assembly grid.
+"""Board layout and gravity for the assembly grid.
 
 Stones sit on a width x height grid. Removing a stone may leave stones
 above it unsupported; those descend one row at a time until every stone
 again has at least one occupied cell somewhere under its span. Only
 stones currently in the bottom row can be picked.
 
+A layout is flat: tasks are numbered in job order, ``cells`` holds the
+task index of every cell (-1 when empty) with row 0 first, so cell
+``row * width + col``, and ``rows`` holds each task's row (-1 once
+removed). The job's ``col`` and ``span`` tables never change.
+``cascade`` is the one gravity routine: the game's transitions, ``Board``
+and the exhaustive search all call it on such a layout.
+
 Gravity is defined by repeated settling passes. Each pass scans the rows
 bottom-up and the columns left to right, and moves every stone whose whole
 span has empty cells directly below down one row; passes repeat until
-nothing moves. ``remove_and_cascade`` reports exactly the descents of that
-full rescan, in the same order, while examining only candidate stones.
+nothing moves. ``cascade`` reports exactly the descents of that full
+rescan, in the same order, while examining only candidate stones.
 
 A stone found supported keeps its support until a cell under it empties,
 and a cell empties only where a stone leaves it. In a pass, the cells of
@@ -19,13 +26,14 @@ stones a pass can move are the candidates: those directly above a cell
 emptied earlier in the same pass (the picked stone's cells count as
 emptied in the first pass), and those that fell in the previous pass.
 Every other stone would be found supported by the full scan. Candidates
-are taken from a heap in (row, col) order, the order the full scan meets
-them in, so the descents come out in the same order.
+are keyed by the cell of their leftmost column and taken from a heap, so
+in (row, col) order, the order the full scan meets them in, and the
+descents come out in the same order.
 
-That argument needs a board that was settled before the pick. A job file
-can describe floating stones, so ``from_spec`` checks its board once, and
-``_place`` marks the board unsettled. The first cascade of an unsettled
-board takes every stone above row 0 as a candidate.
+That argument needs a layout that was settled before the pick. A job file
+can describe floating stones, so ``from_spec`` checks its layout once; the
+first cascade of an unsettled layout takes every stone above row 0 as a
+candidate, which makes its first pass a full one.
 """
 
 from __future__ import annotations
@@ -42,11 +50,7 @@ class BoardError(ValueError):
 
 @dataclass
 class Stone:
-    """One task on the board.
-
-    A stone is never mutated in place: a descent replaces the board's entry
-    with a new ``Stone``. Board copies therefore share their stones.
-    """
+    """One task on the board, as ``Board.stones`` reports it."""
 
     id: str
     kind: str
@@ -62,146 +66,184 @@ class PickOutcome:
     descents: list[tuple[str, int, int]] = field(default_factory=list)
 
 
+def cascade(
+    cells: list[int], rows: list[int], col, span, width: int, t: int, settled: bool
+) -> list[int]:
+    """Remove bottom-row task ``t`` from the layout, in place, and let the
+    stack settle (see the module docstring).
+
+    Returns the task of every single-row descent in scan order, so undoing
+    them last first, each one row up, restores the layout before ``t``
+    goes back. ``settled`` is False for the first cascade of a layout
+    that may float.
+    """
+    lo = col[t]
+    hi = lo + span[t]
+    rows[t] = -1
+    descents: list[int] = []
+    if hi - lo == 1:
+        cells[lo] = -1
+    else:
+        cells[lo:hi] = [-1] * (hi - lo)
+    if settled:
+        heap = []
+        for s in cells[width + lo : width + hi]:
+            if s >= 0:
+                heap.append(width + col[s])
+        if not heap:
+            return descents
+    else:
+        heap = [r * width + col[s] for s, r in enumerate(rows) if r > 0]
+        heapify(heap)
+    size = len(cells)
+    while heap:
+        fell: list[int] = []  # ascending, so already a heap for the next pass
+        last = -1
+        while heap:
+            key = heappop(heap)
+            if key == last:
+                continue
+            last = key
+            s = cells[key]
+            if s < 0 or col[s] != key % width:
+                continue  # empty, or not the leftmost cell of its stone
+            n = span[s]
+            below = key - width
+            if n == 1:
+                if cells[below] >= 0:
+                    continue
+                cells[below] = s
+                cells[key] = -1
+            else:
+                if any(cells[cc] >= 0 for cc in range(below, below + n)):
+                    continue
+                cells[below : below + n] = [s] * n
+                cells[key : key + n] = [-1] * n
+            rows[s] -= 1
+            descents.append(s)
+            if below >= width:
+                fell.append(below)
+            above = key + width
+            if above < size:
+                base = above - key % width
+                for a in cells[above : above + n]:
+                    if a >= 0:
+                        heappush(heap, base + col[a])
+        heap = fell
+    return descents
+
+
 class Board:
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        # grid[row][col] holds a task id or None; row 0 is the bottom
-        self.grid: list[list[str | None]] = [[None] * width for _ in range(height)]
-        self.stones: dict[str, Stone] = {}
-        # False while a placed stone may float, until the next cascade
-        self._settled = True
+    """One layout over a job's tables.
+
+    A board from ``from_spec`` owns its ``cells`` and ``rows``; the board
+    of a game state (``GameState.board``) is a view of the state's lists,
+    which states never change and may share, so it is for reading.
+    """
+
+    __slots__ = (
+        "width", "height", "ids", "index", "kinds", "col", "span", "cells", "rows", "settled",
+    )
+
+    def __init__(self, tables, cells: list[int], rows: list[int], settled: bool):
+        """A layout of ``cells`` and ``rows`` over the job tables of
+        ``tables``, a ``Board`` or a ``JobContext``."""
+        self.width, self.height = tables.width, tables.height
+        self.ids, self.index, self.kinds = tables.ids, tables.index, tables.kinds
+        self.col, self.span = tables.col, tables.span
+        self.cells, self.rows, self.settled = cells, rows, settled
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
-        board = cls(spec.width, spec.height)
-        for t in spec.tasks:
-            board._place(Stone(t.id, t.kind, t.col, t.span, t.row))
-        board._settled = board.is_gravity_fixpoint()
+        board = cls.__new__(cls)
+        width = board.width = spec.width
+        board.height = spec.height
+        tasks = spec.tasks
+        board.ids = tuple(t.id for t in tasks)
+        board.index = {t.id: i for i, t in enumerate(tasks)}
+        board.kinds = tuple(t.kind for t in tasks)
+        board.col = tuple(t.col for t in tasks)
+        board.span = tuple(t.span for t in tasks)
+        board.rows = [t.row for t in tasks]
+        cells = board.cells = [-1] * (width * spec.height)
+        for i, t in enumerate(tasks):
+            base = t.row * width
+            for c in range(t.col, t.col + t.span):
+                if cells[base + c] >= 0:
+                    raise BoardError(f"cell ({t.row}, {c}) already occupied")
+                cells[base + c] = i
+        board.settled = board.is_gravity_fixpoint()
         return board
 
-    def _place(self, stone: Stone) -> None:
-        for c in range(stone.col, stone.col + stone.span):
-            if self.grid[stone.row][c] is not None:
-                raise BoardError(f"cell ({stone.row}, {c}) already occupied")
-            self.grid[stone.row][c] = stone.id
-        self.stones[stone.id] = stone
-        self._settled = False
-
     def copy(self) -> "Board":
-        dup = Board.__new__(Board)
-        dup.width = self.width
-        dup.height = self.height
-        dup.grid = [row[:] for row in self.grid]
-        dup.stones = dict(self.stones)
-        dup._settled = self._settled
-        return dup
+        return Board(self, self.cells[:], self.rows[:], self.settled)
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self.stones
+        i = self.index.get(task_id)
+        return i is not None and self.rows[i] >= 0
 
     def __len__(self) -> int:
-        return len(self.stones)
+        return len(self.rows) - self.rows.count(-1)
+
+    @property
+    def grid(self) -> list[list[str | None]]:
+        """Task id or None per cell, one list per row, row 0 first."""
+        ids, cells, w = self.ids, self.cells, self.width
+        return [
+            [None if t < 0 else ids[t] for t in cells[r * w : r * w + w]]
+            for r in range(self.height)
+        ]
+
+    @property
+    def stones(self) -> dict[str, Stone]:
+        """The stones still on the board, in job order."""
+        ids, kinds, col, span = self.ids, self.kinds, self.col, self.span
+        return {
+            ids[i]: Stone(ids[i], kinds[i], col[i], span[i], r)
+            for i, r in enumerate(self.rows)
+            if r >= 0
+        }
 
     def bottom_row_tasks(self) -> list[str]:
         """Ids of stones in row 0, left to right, each listed once."""
         seen: list[str] = []
-        for tid in self.grid[0]:
-            if tid is not None and (not seen or seen[-1] != tid):
-                seen.append(tid)
+        last = -1
+        for t in self.cells[: self.width]:
+            if t >= 0 and t != last:
+                seen.append(self.ids[t])
+            last = t
         return seen
 
     def remove_and_cascade(self, task_id: str) -> PickOutcome:
-        """Remove a bottom-row stone and let the stack settle.
-
-        The descents are those of repeated full settling passes, each
-        scanning rows bottom-up and columns left to right and moving every
-        unsupported stone down one row, so a stone can fall several rows
-        through repeated passes. Each pass examines only the candidates
-        (see the module docstring): stones above cells emptied before the
-        pass reaches them, and stones that fell in the previous pass, in
-        (row, col) order. The first cascade of an unsettled board takes
-        every stone above row 0 as a candidate, which makes its first pass
-        a full one.
-        """
-        stone = self.stones.get(task_id)
-        if stone is None:
+        """Remove a bottom-row stone and let the stack settle (``cascade``)."""
+        t = self.index.get(task_id)
+        if t is None or self.rows[t] < 0:
             raise BoardError(f"no stone {task_id!r} on the board")
-        if stone.row != 0:
+        if self.rows[t] != 0:
             raise BoardError(f"stone {task_id!r} is not in the bottom row")
-
-        grid, stones, width = self.grid, self.stones, self.width
-        lo, hi = stone.col, stone.col + stone.span
-        for c in range(lo, hi):
-            grid[0][c] = None
-        del stones[task_id]
-
-        outcome = PickOutcome(removed=task_id)
-        descents = outcome.descents
-        # candidates keyed row * width + col of their leftmost cell
-        if self._settled:
-            heap = self._keys_above(0, lo, hi)
-        else:
-            heap = [s.row * width + s.col for s in stones.values() if s.row > 0]
-            heapify(heap)
-            self._settled = True
-
-        while heap:
-            fell: list[int] = []  # ascending, so already a heap for the next pass
-            last = -1
-            while heap:
-                key = heappop(heap)
-                if key == last:
-                    continue
-                last = key
-                r, c = divmod(key, width)
-                tid = grid[r][c]
-                if tid is None:
-                    continue
-                s = stones[tid]
-                if s.row != r or s.col != c:
-                    continue  # not the leftmost cell of this stone
-                lo, hi = c, c + s.span
-                below = grid[r - 1]
-                if any(below[cc] is not None for cc in range(lo, hi)):
-                    continue
-                row_cells = grid[r]
-                for cc in range(lo, hi):
-                    below[cc] = tid
-                    row_cells[cc] = None
-                stones[tid] = Stone(tid, s.kind, c, s.span, r - 1)
-                descents.append((tid, r, r - 1))
-                if r > 1:
-                    fell.append(key - width)
-                for above in self._keys_above(r, lo, hi):
-                    heappush(heap, above)
-            heap = fell
-        return outcome
-
-    def _keys_above(self, row: int, lo: int, hi: int) -> list[int]:
-        """Candidate keys of the stones on cells ``lo`` to ``hi - 1`` of the
-        row above ``row``, ascending, repeats included."""
-        if row + 1 == self.height:
-            return []
-        stones = self.stones
-        base = (row + 1) * self.width
-        return [base + stones[t].col for t in self.grid[row + 1][lo:hi] if t is not None]
+        row = self.rows[:]  # each stone's row as the descents are replayed
+        fell = cascade(self.cells, self.rows, self.col, self.span, self.width, t, self.settled)
+        self.settled = True
+        descents = []
+        for s in fell:
+            descents.append((self.ids[s], row[s], row[s] - 1))
+            row[s] -= 1
+        return PickOutcome(task_id, descents)
 
     def is_gravity_fixpoint(self) -> bool:
-        grid = self.grid
-        for s in self.stones.values():
+        cells, w, col, span = self.cells, self.width, self.col, self.span
+        for s, r in enumerate(self.rows):
             # floating: every cell under the span is empty
-            if s.row and grid[s.row - 1][s.col : s.col + s.span].count(None) == s.span:
-                return False
+            if r > 0:
+                lo = (r - 1) * w + col[s]
+                if cells[lo : lo + span[s]].count(-1) == span[s]:
+                    return False
         return True
 
     def render(self) -> str:
         """Text picture, top row first: '.' empty, else the stone's kind."""
-        lines = []
-        for r in range(self.height - 1, -1, -1):
-            lines.append(
-                "".join(
-                    "." if tid is None else self.stones[tid].kind for tid in self.grid[r]
-                )
-            )
-        return "\n".join(lines)
+        kinds, cells, w = self.kinds, self.cells, self.width
+        return "\n".join(
+            "".join("." if t < 0 else kinds[t] for t in cells[r * w : r * w + w])
+            for r in range(self.height - 1, -1, -1)
+        )

@@ -34,7 +34,7 @@ from .game import (
 )
 from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, JobSpecError, parse_jobspec
 from .net import CheckpointError, NetEvaluator, init_params, load_checkpoint
-from .search import SearchConfig, SearchTree
+from .search import SearchConfig
 from .selfplay import TrainingConfig, search_chooser, training_log_csv, training_loop
 
 SEED_ENV = "HRC_SEED"
@@ -172,8 +172,7 @@ def _write(out_dir, name: str, text: str) -> str:
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed, strict)
-    tree = SearchTree(initial_state(spec, strict=strict), evaluator, config)
-    record = play(spec, search_chooser(tree, 0), seed=seed, strict=strict)
+    record = play(spec, search_chooser(evaluator, config), seed=seed, strict=strict)
     _write(args.out, "schedule.csv", schedule_csv(record))
     _write(args.out, "episode_log.csv", episode_log_csv(record))
     print(f"makespan {record.makespan}")
@@ -256,7 +255,8 @@ def _unpickable_reason(state, agent, tid: str) -> str:
         return "only a robot can do it"
     if not agent.is_human and kind == HUMAN_ONLY:
         return "only a human can do it"
-    missing = sorted(state.job.precedence[tid] - state.completed)
+    waiting = state.job.pred[state.job.index[tid]] & ~state.completed_mask
+    missing = sorted(t for i, t in enumerate(state.job.ids) if waiting >> i & 1)
     if missing:
         return f"waiting on {', '.join(missing)}"
     return "not available"
@@ -301,9 +301,7 @@ def _prompt_human(state, agent, out):
 
 def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
-    evaluator = _make_evaluator(args, spec, seed, strict)
-    tree = SearchTree(initial_state(spec, strict=strict), evaluator, config)
-    robots = search_chooser(tree, 0)
+    robots = search_chooser(_make_evaluator(args, spec, seed, strict), config)
     out = sys.stdout
     stopped = False
 
@@ -318,8 +316,7 @@ def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
                 print(f"stopped at clock {state.clock}", file=out)
                 stopped = True
                 return None
-            tree.advance_root(action)
-            step = action, None, tree.root.state
+            step = action, None, robots.follow(state, action)
         else:
             step = robots(state, agent, rng)
             action = step[0]

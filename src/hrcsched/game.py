@@ -13,6 +13,20 @@ Two pickability modes exist. In strict mode (the default) a stone that has
 descended into the bottom row stays unpickable until every direct
 predecessor has completed. In literal mode any bottom-row stone is fair
 game, even in the same epoch it descended.
+
+State is flat. ``JobContext`` numbers the tasks in job order and the
+agents in roster order, once per job, and holds every table that never
+changes: columns, spans, durations, each agent's compatible tasks and each
+task's direct predecessors as bitmasks, and the initial layout. A
+``GameState`` holds the layout as ``board.py`` defines it (``cells`` and
+``rows``), each agent's task index (-1 when idle) and finish clock, the
+clock, bitmasks of the completed tasks, the tasks taken and the agents
+that declined this epoch, and the index of the agent to act next (-1 once
+the epoch is closed). The rules read only these ints; ``board``,
+``agents``, ``completed``, ``taken`` and ``declined`` give the same state
+in job terms, built on each access. States are never changed once made:
+a pick copies its state's lists once, and a decline shares the layout
+with the state it came from.
 """
 
 from __future__ import annotations
@@ -21,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import Board
-from .jobspec import EITHER, HUMAN_ONLY, ROBOT_ONLY, JobSpec, Task, derive_precedence
+from .board import Board, cascade
+from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec
 
 
 class GameError(Exception):
@@ -82,55 +96,111 @@ class AgentState:
 IDLE = AgentState()
 
 
-@dataclass(frozen=True)
 class JobContext:
-    """Immutable per-job data shared by every state of an episode."""
+    """Immutable per-job data shared by every state of an episode.
 
-    spec: JobSpec
-    precedence: dict[str, frozenset[str]]
-    strict: bool
-    roster: tuple[Agent, ...]  # humans first, then robots, by index
-    tasks: dict[str, Task]
+    Tasks are numbered in job order and agents in roster order; every
+    table is indexed by those numbers.
+    """
 
     @classmethod
     def build(cls, spec: JobSpec, strict: bool = True) -> "JobContext":
-        roster = tuple(
+        job = cls.__new__(cls)
+        job.spec, job.strict = spec, strict
+        job.roster = tuple(  # humans first, then robots, by index
             [Agent("H", i + 1) for i in range(spec.humans)]
             + [Agent("R", i + 1) for i in range(spec.robots)]
         )
-        return cls(
-            spec=spec,
-            precedence=derive_precedence(spec),
-            strict=strict,
-            roster=roster,
-            tasks={t.id: t for t in spec.tasks},
-        )
+        tasks = spec.tasks
+        job.tasks = {t.id: t for t in tasks}
+        start = Board.from_spec(spec)
+        job.width, job.height, job.ids, job.index = spec.width, spec.height, start.ids, start.index
+        job.kinds, job.col, job.span = start.kinds, start.col, start.span
+        job.duration = tuple(t.duration for t in tasks)
+        job.picks = tuple(AgentAction(t.id) for t in tasks)  # each task's pick action
+        job.full = (1 << len(tasks)) - 1  # the mask of all tasks
+        # the initial layout, and whether it is at its gravity fixpoint
+        job.cells, job.rows, job.settled = tuple(start.cells), tuple(start.rows), start.settled
+        # per agent, the mask of the tasks it may do
+        human = sum(1 << i for i, kind in enumerate(start.kinds) if kind != ROBOT_ONLY)
+        robot = sum(1 << i for i, kind in enumerate(start.kinds) if kind != HUMAN_ONLY)
+        job.ok = (human,) * spec.humans + (robot,) * spec.robots
+        # per task, the mask of its direct predecessors, by derive_precedence's
+        # rule (the nearest stone under each column); none in literal mode
+        pred = [0] * len(tasks)
+        if strict:
+            cells, width, col, span = start.cells, spec.width, start.col, start.span
+            for i, r in enumerate(start.rows):
+                lo = (r - 1) * width + col[i]
+                for c in range(lo, lo + span[i]):
+                    while c >= 0 and cells[c] < 0:
+                        c -= width
+                    if c >= 0:
+                        pred[i] |= 1 << cells[c]
+        job.pred = tuple(pred)
+        return job
 
     def total_duration(self) -> int:
         return self.spec.total_duration()
 
 
-@dataclass
+@dataclass(slots=True)
 class GameState:
+    """One state of play; see the module docstring."""
+
     job: JobContext
-    board: Board
-    agents: dict[Agent, AgentState]
-    clock: int = 0
-    completed: frozenset[str] = frozenset()
+    cells: list[int]  # task index per cell, row 0 first, -1 when empty
+    rows: list[int]  # row per task, -1 once picked
+    doing: list[int]  # task index per agent, -1 when idle
+    finish: list[int]  # clock at which each busy agent's task completes
+    clock: int
+    completed_mask: int
     # epoch bookkeeping, reset when time advances
-    declined: frozenset[Agent] = frozenset()
-    taken: frozenset[str] = frozenset()
+    taken_mask: int
+    declined_mask: int
+    pending: int  # the agent to act next, -1 once the epoch is closed
 
     def copy(self) -> "GameState":
         return GameState(
-            job=self.job,
-            board=self.board.copy(),
-            agents=dict(self.agents),
-            clock=self.clock,
-            completed=self.completed,
-            declined=self.declined,
-            taken=self.taken,
+            self.job, self.cells[:], self.rows[:], self.doing[:], self.finish[:], self.clock,
+            self.completed_mask, self.taken_mask, self.declined_mask, self.pending,
         )
+
+    @property
+    def board(self) -> Board:
+        """A view of this state's layout."""
+        return Board(self.job, self.cells, self.rows, _settled(self))
+
+    @property
+    def agents(self) -> dict[Agent, AgentState]:
+        ids = self.job.ids
+        return {
+            agent: IDLE if t < 0 else AgentState(ids[t], f - self.clock)
+            for agent, t, f in zip(self.job.roster, self.doing, self.finish)
+        }
+
+    @property
+    def completed(self) -> frozenset[str]:
+        return _members(self.job.ids, self.completed_mask)
+
+    @property
+    def taken(self) -> frozenset[str]:
+        return _members(self.job.ids, self.taken_mask)
+
+    @property
+    def declined(self) -> frozenset[Agent]:
+        return _members(self.job.roster, self.declined_mask)
+
+
+def _settled(state: GameState) -> bool:
+    """Whether the layout is at its gravity fixpoint: the job's is, or a
+    pick has settled it."""
+    return state.job.settled or state.completed_mask != 0 or max(state.doing) >= 0
+
+
+def _members(items, mask: int) -> frozenset:
+    """The items whose bits are set in ``mask``."""
+    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
 @dataclass
@@ -153,47 +223,40 @@ def initial_state(spec: JobSpec, strict: bool = True) -> GameState:
     job = _last_context
     if job is None or job.spec is not spec or job.strict != strict:
         job = _last_context = JobContext.build(spec, strict=strict)
+    agents = len(job.roster)
     return GameState(
-        job=job,
-        board=Board.from_spec(spec),
-        agents={a: IDLE for a in job.roster},
+        job, list(job.cells), list(job.rows), [-1] * agents, [0] * agents, 0, 0, 0, 0,
+        0 if agents else -1,
     )
 
 
 def is_terminal(state: GameState) -> bool:
-    return len(state.completed) == len(state.job.tasks)
+    return state.completed_mask == state.job.full
 
 
 def next_agent(state: GameState) -> Agent | None:
     """The next idle agent yet to act this epoch, or None if the epoch is done."""
-    for agent in state.job.roster:
-        if not state.agents[agent].busy and agent not in state.declined:
-            return agent
-    return None
+    p = state.pending
+    return None if p < 0 else state.job.roster[p]
 
 
 def is_stalled(state: GameState) -> bool:
     """Every agent idle and declined while tasks remain: time cannot advance."""
-    if is_terminal(state):
-        return False
-    if any(st.busy for st in state.agents.values()):
-        return False
-    return next_agent(state) is None
+    return state.pending < 0 and max(state.doing) < 0 and not is_terminal(state)
 
 
-def _compatible(agent: Agent, kind: str) -> bool:
-    if kind == EITHER:
-        return True
-    return kind == (HUMAN_ONLY if agent.is_human else ROBOT_ONLY)
+def _slot(state: GameState, agent: Agent) -> int:
+    """The roster index of ``agent``."""
+    p = state.pending
+    roster = state.job.roster
+    return p if p >= 0 and roster[p] is agent else roster.index(agent)
 
 
-def _pickable(state: GameState, agent: Agent, tid: str) -> bool:
-    """Whether ``agent`` may pick the bottom-row stone ``tid``."""
-    return (
-        tid not in state.taken
-        and _compatible(agent, state.board.stones[tid].kind)
-        and (not state.job.strict or state.job.precedence[tid] <= state.completed)
-    )
+def _first_idle(doing: list[int], declined: int) -> int:
+    for i, t in enumerate(doing):
+        if t < 0 and not declined >> i & 1:
+            return i
+    return -1
 
 
 def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
@@ -203,66 +266,79 @@ def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     not already taken this epoch, and (strict mode only) every direct
     predecessor has completed.
     """
-    if state.agents[agent].busy:
+    p = _slot(state, agent)
+    if state.doing[p] >= 0:
         raise IllegalActionError(f"{agent} is busy and cannot act")
-
-    actions = [pick(tid) for tid in state.board.bottom_row_tasks() if _pickable(state, agent, tid)]
+    job = state.job
+    allowed = job.ok[p] & ~state.taken_mask
+    pred, done, picks = job.pred, state.completed_mask, job.picks
+    actions = []
+    last = -1
+    for t in state.cells[: job.width]:
+        if t != last:
+            last = t
+            if t >= 0 and allowed >> t & 1 and not pred[t] & ~done:
+                actions.append(picks[t])
     actions.append(NOOP)
     return actions
 
 
-def _check_legal(state: GameState, agent: Agent, action: AgentAction) -> None:
-    """Raise IllegalActionError unless ``action`` is in
-    ``legal_actions(state, agent)``, testing only the picked stone."""
-    if state.agents[agent].busy:
-        raise IllegalActionError(f"{agent} is busy and cannot act")
+def _act(state: GameState, p: int, action: AgentAction) -> GameState:
+    """The state after agent ``p``'s action, which must be in its legal
+    actions; the input is untouched."""
+    job = state.job
+    if state.doing[p] >= 0:
+        raise IllegalActionError(f"{job.roster[p]} is busy and cannot act")
     if not isinstance(action, AgentAction):
-        raise IllegalActionError(f"{agent} cannot {action} here")
-    tid = action.task
-    if tid is None:
-        return
-    stone = state.board.stones.get(tid)
-    if stone is None or stone.row != 0 or not _pickable(state, agent, tid):
-        raise IllegalActionError(f"{agent} cannot {action} here")
+        raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
+    if action.task is None:
+        declined = state.declined_mask | 1 << p
+        doing = state.doing
+        # the layout is shared; doing and finish are copied so that an
+        # epoch close can advance the new state in place
+        return GameState(
+            job, state.cells, state.rows, doing[:], state.finish[:], state.clock,
+            state.completed_mask, state.taken_mask, declined, _first_idle(doing, declined),
+        )
+    t = job.index.get(action.task)
+    if (
+        t is None
+        or state.rows[t] != 0
+        or not (job.ok[p] & ~state.taken_mask) >> t & 1
+        or job.pred[t] & ~state.completed_mask
+    ):
+        raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
+    nxt = state.copy()
+    cascade(nxt.cells, nxt.rows, job.col, job.span, job.width, t, _settled(state))
+    nxt.doing[p] = t
+    nxt.finish[p] = state.clock + job.duration[t]
+    nxt.taken_mask |= 1 << t
+    nxt.pending = _first_idle(nxt.doing, nxt.declined_mask)
+    return nxt
 
 
 def apply_pick(state: GameState, agent: Agent, action: AgentAction) -> GameState:
     """One agent's decision. Returns a new state; the input is untouched."""
-    _check_legal(state, agent, action)
-
-    nxt = state.copy()
-    if action.is_noop:
-        nxt.declined = state.declined | {agent}
-        return nxt
-
-    nxt.board.remove_and_cascade(action.task)
-    nxt.agents[agent] = AgentState(action.task, state.job.tasks[action.task].duration)
-    nxt.taken = state.taken | {action.task}
-    return nxt
+    return _act(state, _slot(state, agent), action)
 
 
-def _advance_in_place(state: GameState) -> tuple[int, list[Agent]]:
-    """Jump ``state`` itself to the next completion instant and open a new
-    epoch. Returns (elapsed time, agents freed)."""
-    busy = [(a, st) for a, st in state.agents.items() if st.busy]
+def _advance_in_place(state: GameState) -> tuple[int, list[int]]:
+    """Jump ``state`` itself, whose ``doing`` and ``finish`` lists it must
+    own, to the next completion instant and open a new epoch. Returns
+    (elapsed time, roster indices of the agents freed)."""
+    doing, finish = state.doing, state.finish
+    busy = [i for i, t in enumerate(doing) if t >= 0]
     if not busy:
         raise DeadlockError("no agent is busy, time cannot advance")
-
-    elapsed = min(st.remaining for _, st in busy)
-    state.clock += elapsed
-    state.declined = frozenset()
-    state.taken = frozenset()
-    completed = set(state.completed)
-    freed: list[Agent] = []
-    for agent, st in busy:
-        left = st.remaining - elapsed
-        if left == 0:
-            state.agents[agent] = IDLE
-            completed.add(st.task)
-            freed.append(agent)
-        else:
-            state.agents[agent] = AgentState(st.task, left)
-    state.completed = frozenset(completed)
+    soon = min(finish[i] for i in busy)
+    elapsed = soon - state.clock
+    freed = [i for i in busy if finish[i] == soon]
+    for i in freed:
+        state.completed_mask |= 1 << doing[i]
+        doing[i] = -1
+    state.clock = soon
+    state.taken_mask = state.declined_mask = 0
+    state.pending = _first_idle(doing, 0)
     return elapsed, freed
 
 
@@ -271,7 +347,10 @@ def advance_time(state: GameState) -> TransitionResult:
     new state; the input is untouched."""
     nxt = state.copy()
     elapsed, freed = _advance_in_place(nxt)
-    return TransitionResult(next=nxt, reward=-elapsed, elapsed=elapsed, freed=freed)
+    roster = state.job.roster
+    return TransitionResult(
+        next=nxt, reward=-elapsed, elapsed=elapsed, freed=[roster[i] for i in freed]
+    )
 
 
 def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, bool]:
@@ -281,12 +360,12 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
     on epoch-closing steps. A closing step with nobody busy leaves the state
     stalled rather than raising; callers decide how to treat that.
     """
-    agent = next_agent(state)
-    if agent is None:
+    p = state.pending
+    if p < 0:
         raise GameError("no pending agent; the epoch is already closed")
-    nxt = apply_pick(state, agent, action)
-    if next_agent(nxt) is None and any(st.busy for st in nxt.agents.values()):
-        # nxt is this call's own copy, so time advances on it directly
+    nxt = _act(state, p, action)
+    if nxt.pending < 0 and max(nxt.doing) >= 0:
+        # nxt owns its doing and finish lists, so time advances on it directly
         elapsed, _ = _advance_in_place(nxt)
         return nxt, -elapsed, True
     return nxt, 0, False
@@ -296,13 +375,13 @@ def noop_stalls(state: GameState) -> bool:
     """Whether the pending agent may not decline: nobody is busy and no agent
     still to act after it this epoch holds a legal pick, so the epoch could
     only end with every agent idle."""
-    if any(st.busy for st in state.agents.values()):
+    if max(state.doing) >= 0:
         return False
-    pending = next_agent(state)
+    roster = state.job.roster
     return all(
-        legal_actions(state, agent) == [NOOP]
-        for agent in state.job.roster
-        if agent != pending and agent not in state.declined
+        legal_actions(state, roster[i]) == [NOOP]
+        for i in range(len(roster))
+        if i != state.pending and not state.declined_mask >> i & 1
     )
 
 
@@ -342,10 +421,11 @@ def play(
     epoch ends with every agent idle and tasks still on the board.
     """
     state = initial_state(spec, strict=strict)
+    job = state.job
     rng = np.random.default_rng(seed)
     decisions: list[Decision] = []
     rewards: list[int] = []
-    schedule: dict[Agent, list[tuple[str, int, int]]] = {a: [] for a in state.job.roster}
+    intervals: list[list[tuple[str, int, int]]] = [[] for _ in job.roster]
     epoch = 0
 
     while not is_terminal(state):
@@ -356,10 +436,11 @@ def play(
         action, policy, nxt = step
         if record_decisions:
             decisions.append(Decision(state, agent, action, policy, epoch))
-        if not action.is_noop:
+        task = action.task
+        if task is not None:
             start = state.clock
-            schedule[agent].append(
-                (action.task, start, start + state.job.tasks[action.task].duration)
+            intervals[state.pending].append(
+                (task, start, start + job.duration[job.index[task]])
             )
         # durations are positive, so an epoch closes exactly when time moves
         if nxt.clock != state.clock:
@@ -370,7 +451,10 @@ def play(
         state = nxt
 
     return EpisodeRecord(
-        decisions=decisions, rewards=rewards, makespan=state.clock, schedule=schedule
+        decisions=decisions,
+        rewards=rewards,
+        makespan=state.clock,
+        schedule=dict(zip(job.roster, intervals)),
     )
 
 

@@ -321,19 +321,21 @@ def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
     Channel 0 human-only, 1 robot-only, 2 either. Smaller boards sit in the
     bottom-left corner with zero padding above and to the right.
     """
-    board = state.board
-    if board.height > height or board.width > width:
+    job = state.job
+    if job.height > height or job.width > width:
         raise ValueError(
-            f"board {board.height}x{board.width} exceeds the configured "
+            f"board {job.height}x{job.width} exceeds the configured "
             f"input {height}x{width}"
         )
     x = np.zeros((height, width, 3))
-    for stone in board.stones.values():
-        ch = CHANNEL_OF_KIND[stone.kind]
-        if stone.span == 1:  # a scalar store costs far less than a slice
-            x[stone.row, stone.col, ch] = 1.0
-        else:
-            x[stone.row, stone.col : stone.col + stone.span, ch] = 1.0
+    kinds, col, span = job.kinds, job.col, job.span
+    for t, row in enumerate(state.rows):
+        if row >= 0:
+            c = col[t]
+            if span[t] == 1:  # a scalar store costs far less than a slice
+                x[row, c, CHANNEL_OF_KIND[kinds[t]]] = 1.0
+            else:
+                x[row, c : c + span[t], CHANNEL_OF_KIND[kinds[t]]] = 1.0
     return x
 
 
@@ -456,9 +458,9 @@ def network_width(params: dict[str, np.ndarray]) -> int:
 class NetEvaluator:
     """Adapter giving the search (column priors, value) for a state.
 
-    Evaluations are cached per board layout: the encoding only sees which
-    stones remain and where, so states differing in clocks or remaining
-    times share one forward pass.
+    Evaluations are cached per job and board layout: the encoding only sees
+    which stones remain and where, so states differing in clocks or
+    remaining times share one forward pass.
     """
 
     def __init__(self, params, height: int, width: int, cache: bool = True):
@@ -470,9 +472,9 @@ class NetEvaluator:
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
         key = None
         if self._cache is not None:
-            # a stone's column and span never change, so the grid fixes
+            # a stone's column and span never change, so the layout fixes
             # which stones remain and their rows
-            key = tuple(map(tuple, state.board.grid))
+            key = (state.job, tuple(state.cells))
             hit = self._cache.get(key)
             if hit is not None:
                 return hit

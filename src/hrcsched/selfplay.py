@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import DeadlockError, EpisodeRecord, initial_state, noop_stalls, play
+from .game import DeadlockError, EpisodeRecord, noop_stalls, play
 from .jobspec import JobSpec
 from .net import (
     NetEvaluator,
@@ -82,19 +82,29 @@ def avoid_stall(state, chosen, policy_pairs):
     return max(picks, key=lambda ap: ap[1])[0]
 
 
-def search_chooser(tree: SearchTree, temperature_moves: int):
-    """A ``play`` chooser that searches ``tree`` for every decision and
-    reuses its subtree for the next.
+def search_chooser(evaluator, config: SearchConfig | None = None, temperature_moves: int = 0):
+    """A ``play`` chooser that searches one ``SearchTree`` for every
+    decision and reuses its subtree for the next. The tree is built on the
+    first state ``play`` hands over.
 
     The first ``temperature_moves`` decisions sample from the visit
     distribution; later ones take the most-visited action. The step's
     policy is the visits folded onto columns, and its next state is the
-    child the tree already holds.
+    child the tree already holds. ``chooser.follow(state, action)`` moves
+    the tree along an action chosen elsewhere and returns the next state.
     """
+    tree = None
     moves = 0
 
+    def follow(state, action):
+        nonlocal tree
+        tree = tree or SearchTree(state, evaluator, config)
+        tree.advance_root(action)
+        return tree.root.state
+
     def choose(state, agent, rng):
-        nonlocal moves
+        nonlocal tree, moves
+        tree = tree or SearchTree(state, evaluator, config)
         policy_pairs, chosen = tree.run()
         if moves < temperature_moves and len(policy_pairs) > 1:
             probs = np.asarray([p for _, p in policy_pairs])
@@ -102,9 +112,9 @@ def search_chooser(tree: SearchTree, temperature_moves: int):
             chosen = policy_pairs[int(rng.choice(len(policy_pairs), p=probs))][0]
         moves += 1
         chosen = avoid_stall(state, chosen, policy_pairs)
-        tree.advance_root(chosen)
-        return chosen, _column_policy(state, policy_pairs), tree.root.state
+        return chosen, _column_policy(state, policy_pairs), follow(state, chosen)
 
+    choose.follow = follow
     return choose
 
 
@@ -122,8 +132,7 @@ def generate_episode(
     Examples are produced when the evaluator exposes its input height and
     width; a decision whose visits all went to NoOp produces none.
     """
-    tree = SearchTree(initial_state(spec, strict=strict), evaluator, search_config)
-    record = play(spec, search_chooser(tree, temperature_moves), seed=seed, strict=strict)
+    record = play(spec, search_chooser(evaluator, search_config, temperature_moves), seed, strict)
     if not (hasattr(evaluator, "height") and hasattr(evaluator, "width")):
         return record, []
     examples = [
@@ -264,13 +273,12 @@ def training_loop(
             max_grad_norm=cfg.max_grad_norm,
         )
 
-        greedy, _ = generate_episode(
+        greedy = play(
             spec,
-            NetEvaluator(params, spec.height, spec.width),
-            cfg.search,
+            search_chooser(NetEvaluator(params, spec.height, spec.width), cfg.search),
             seed=episode_seed(cfg.seed, k, cfg.episodes),
-            temperature_moves=0,
             strict=cfg.strict,
+            record_decisions=False,
         )
         candidates = makespans + [greedy.makespan]
         best = min(candidates) if best is None else min(best, *candidates)

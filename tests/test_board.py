@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hrcsched import Board, BoardError, Stone, desk_fixture, parse_jobspec
+from hrcsched import Board, BoardError, JobSpec, Stone, Task, desk_fixture, parse_jobspec
 
 from conftest import random_instance
 
@@ -19,12 +19,10 @@ def test_from_spec_and_lookup():
 
 
 def test_overlap_rejected_at_placement():
+    # a JobSpec built in code skips the parser's overlap check
+    tasks = (Task("a", "E", 1, 0, 0, 2), Task("b", "E", 1, 1, 0))
     with pytest.raises(BoardError, match="already occupied"):
-        board = Board(2, 2)
-        from hrcsched.board import Stone
-
-        board._place(Stone("a", "E", 0, 2, 0))
-        board._place(Stone("b", "E", 1, 1, 0))
+        Board.from_spec(JobSpec(2, 2, 1, 1, tasks))
 
 
 def test_bottom_row_tasks_order_and_dedupe():
@@ -120,7 +118,25 @@ def test_cascade_reaches_fixpoint_on_random_instances():
         assert len(board) == 0
 
 
-def reference_cascade(board: Board, task_id: str) -> list[tuple[str, int, int]]:
+class ReferenceBoard:
+    """A layout as an id grid (one list per row, row 0 first) and a table
+    of stones, both plain and mutable: what ``reference_cascade`` works
+    on, copied from a ``Board``."""
+
+    def __init__(self, board: Board):
+        self.width, self.height = board.width, board.height
+        self.grid = board.grid
+        self.stones = board.stones
+
+    def bottom_row_tasks(self) -> list[str]:
+        seen: list[str] = []
+        for tid in self.grid[0]:
+            if tid is not None and (not seen or seen[-1] != tid):
+                seen.append(tid)
+        return seen
+
+
+def reference_cascade(board: ReferenceBoard, task_id: str) -> list[tuple[str, int, int]]:
     """Gravity by full rescans: the definition ``remove_and_cascade`` must
     match. Each pass scans rows bottom-up and columns left to right and
     moves every stone with empty cells under its whole span down one row;
@@ -152,21 +168,24 @@ def reference_cascade(board: Board, task_id: str) -> list[tuple[str, int, int]]:
     return descents
 
 
-def random_layout(rng: np.random.Generator) -> tuple[Board, Board]:
-    """Two boards with the same random layout, floating stones allowed:
-    1-6 columns, 1-7 rows, spans 1-3."""
+def random_layout(rng: np.random.Generator) -> tuple[Board, ReferenceBoard]:
+    """A board and a reference board with the same random layout, floating
+    stones allowed: 1-6 columns, 1-7 rows, spans 1-3."""
     width = int(rng.integers(1, 7))
     height = int(rng.integers(1, 8))
-    boards = (Board(width, height), Board(width, height))
+    tasks = []
+    used: set[tuple[int, int]] = set()
     for i in range(int(rng.integers(1, width * height + 1))):
         span = int(rng.integers(1, min(3, width) + 1))
         col = int(rng.integers(0, width - span + 1))
         row = int(rng.integers(0, height))
-        if any(boards[0].grid[row][c] is not None for c in range(col, col + span)):
+        cells = {(row, c) for c in range(col, col + span)}
+        if cells & used:
             continue
-        for board in boards:
-            board._place(Stone(f"s{i}", "E", col, span, row))
-    return boards
+        used |= cells
+        tasks.append(Task(f"s{i}", "E", 1, col, row, span))
+    board = Board.from_spec(JobSpec(width, height, 1, 1, tuple(tasks)))
+    return board, ReferenceBoard(board)
 
 
 def test_cascade_matches_full_rescan_on_random_boards():
@@ -193,15 +212,15 @@ def test_floating_job_gets_a_full_first_pass():
     """``from_spec`` marks a settled job settled, so its first cascade only
     examines the stones above the pick, and a job with a floating stone
     unsettled, so its first cascade also drops a stone far from the pick."""
-    assert Board.from_spec(desk_fixture())._settled
+    assert Board.from_spec(desk_fixture()).settled
     text = "board 2 3\nagents 1 1\ntask a H 1 0 0\ntask b R 1 1 0\ntask c E 1 1 2\n"
     board = make_board(text)
-    assert not board._settled
-    slow = make_board(text)
+    assert not board.settled
+    slow = ReferenceBoard(make_board(text))
     assert board.remove_and_cascade("a").descents == reference_cascade(slow, "a") == [
         ("c", 2, 1)
     ]
-    assert board._settled and board.grid == slow.grid
+    assert board.settled and board.grid == slow.grid
 
 
 def snapshot(board: Board):

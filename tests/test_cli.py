@@ -161,6 +161,23 @@ def test_baseline_output(tiny_path, tmp_path, capsys):
     assert (out / "histogram.csv").read_text() == "makespan,count\n7,161\n9,139\n"
 
 
+def test_desk_baseline_histogram_is_pinned(tmp_path, capsys):
+    # 200 random desk episodes walk every layer of the game core: legal
+    # picks, gravity on a 50-stone board and epoch closing
+    job = tmp_path / "desk.job"
+    job.write_text(serialize_jobspec(desk_fixture()))
+    out = tmp_path / "base"
+    argv = ["baseline", "--jobspec", str(job), "--out", str(out), "--trajectories", "200",
+            "--seed", "0"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (
+        "trajectories 200\nmean makespan 176.89\nmin makespan 158\n"
+    )
+    assert hashlib.sha256((out / "histogram.csv").read_bytes()).hexdigest() == (
+        "ae28a693f22bcc0dc88b92639cd6f06f5bcd96dc33c866152d0786adaf8a215e"
+    )
+
+
 def test_seed_env_used_when_flag_absent(tiny_path, tmp_path, capsys, monkeypatch):
     out_flag = tmp_path / "flag"
     assert run_cli(
@@ -355,6 +372,16 @@ def test_advise_rejects_bad_input_then_recovers(tiny_path, tmp_path, capsys, mon
     assert "cannot pick Z: no such task" in text
     assert "cannot pick B: only a robot can do it" in text
     assert "makespan 7" in text
+
+
+def test_advise_names_the_unfinished_predecessor(tmp_path, capsys, monkeypatch):
+    # B falls into the bottom row once H1 takes A, but A is still running
+    path = tmp_path / "pair.job"
+    path.write_text("board 2 2\nagents 2 0\ntask A H 3 0 0\ntask B H 1 0 1\ntask C H 5 1 0\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("pick A\npick B\nquit\n"))
+    code = run_cli(["advise", "--jobspec", str(path), "--out", str(tmp_path / "a")])
+    assert code == 0
+    assert "H2> cannot pick B: waiting on A\n" in capsys.readouterr().out
 
 
 def test_advise_quit_writes_partial_schedule(tiny_path, tmp_path, capsys, monkeypatch):

@@ -1,0 +1,133 @@
+"""Property tests of the game core over generated layouts.
+
+The layouts are ones ``random_instance`` never makes: stones on random
+free cells, so stacks float over gaps and spans of two or three columns
+rest on a single column, with rosters of up to three humans and three
+robots. Every layout has a stone in the bottom row, and every task kind
+has an agent who can do it.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hrcsched import (
+    COMPLETE,
+    Board,
+    JobContext,
+    JobSpec,
+    Task,
+    derive_precedence,
+    exhaustive_search,
+    initial_state,
+    is_terminal,
+    legal_actions,
+    next_agent,
+    transition,
+)
+
+from test_board import ReferenceBoard, reference_cascade
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+@st.composite
+def jobs(draw, max_tasks=10, max_agents=6):
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 5))
+    humans = draw(st.integers(0, min(3, max_agents - 1)))
+    robots = draw(st.integers(0 if humans else 1, min(3, max_agents - humans)))
+    kinds = "E" + "H" * (humans > 0) + "R" * (robots > 0)
+    used: set[tuple[int, int]] = set()
+    tasks = []
+    for i in range(draw(st.integers(1, 3 * max_tasks))):
+        if len(tasks) == max_tasks:
+            break
+        span = draw(st.integers(1, min(3, width)))
+        col = draw(st.integers(0, width - span))
+        # the first stone sits on the bottom row, so play can start
+        row = 0 if i == 0 else draw(st.integers(0, height - 1))
+        cells = {(row, c) for c in range(col, col + span)}
+        if cells & used:
+            continue
+        used |= cells
+        kind = draw(st.sampled_from(kinds))
+        tasks.append(Task(f"t{i}", kind, draw(st.integers(1, 9)), col, row, span))
+    return JobSpec(width, height, humans, robots, tuple(tasks)), draw(st.booleans())
+
+
+def random_episode(spec, strict, seed, after_pick=None):
+    """A uniformly random legal episode that declines only without a pick.
+    Returns (rewards, makespan)."""
+    rng = np.random.default_rng(seed)
+    state = initial_state(spec, strict=strict)
+    rewards = []
+    while not is_terminal(state):
+        actions = legal_actions(state, next_agent(state))
+        action = actions[int(rng.integers(len(actions) - 1))] if len(actions) > 1 else actions[0]
+        state, reward, advanced = transition(state, action)
+        if advanced:
+            rewards.append(reward)
+        if after_pick is not None and not action.is_noop:
+            after_pick(state)
+    return rewards, state.clock
+
+
+@PROPERTY
+@given(jobs(), st.integers(0, 2**32 - 1))
+def test_board_is_at_a_gravity_fixpoint_after_every_pick(job, seed):
+    spec, strict = job
+
+    def settled(state):
+        assert state.board.is_gravity_fixpoint()
+
+    random_episode(spec, strict, seed, settled)
+
+
+@PROPERTY
+@given(jobs(), st.integers(0, 2**32 - 1))
+def test_cascade_matches_full_rescans(job, seed):
+    spec, _ = job
+    rng = np.random.default_rng(seed)
+    board = Board.from_spec(spec)
+    slow = ReferenceBoard(board)
+    while board.bottom_row_tasks():
+        tid = str(rng.choice(board.bottom_row_tasks()))
+        assert board.remove_and_cascade(tid).descents == reference_cascade(slow, tid)
+        assert board.grid == slow.grid
+
+
+@PROPERTY
+@given(jobs())
+def test_predecessor_masks_follow_derive_precedence(job):
+    spec, strict = job
+    context = JobContext.build(spec, strict=strict)
+    ids = context.ids
+    masks = {
+        tid: frozenset(ids[j] for j in range(len(ids)) if context.pred[i] >> j & 1)
+        for i, tid in enumerate(ids)
+    }
+    if strict:
+        assert masks == derive_precedence(spec)
+    else:
+        assert not any(context.pred)
+
+
+@PROPERTY
+@given(jobs(), st.integers(0, 2**32 - 1))
+def test_rewards_sum_to_minus_the_makespan(job, seed):
+    spec, strict = job
+    rewards, makespan = random_episode(spec, strict, seed)
+    assert sum(rewards) == -makespan
+    assert all(r < 0 for r in rewards)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(jobs(max_tasks=5, max_agents=3), st.integers(0, 2**32 - 1))
+def test_oracle_optimum_bounds_every_episode(job, seed):
+    spec, strict = job
+    result = exhaustive_search(spec, strict=strict)
+    assert result.status == COMPLETE
+    for k in range(5):
+        _, makespan = random_episode(spec, strict, seed + k)
+        assert result.optimal_makespan <= makespan
