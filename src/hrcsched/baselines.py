@@ -282,7 +282,9 @@ def random_rollouts(
             return actions[-1]
         return actions[int(rng.integers(picks))]
 
-    seeds = np.random.SeedSequence(seed).generate_state(max(trajectories, 1), dtype=np.uint64)
+    if trajectories < 1:
+        raise ValueError(f"trajectories must be at least 1, got {trajectories}")
+    seeds = np.random.SeedSequence(seed).generate_state(trajectories, dtype=np.uint64)
     makespans = []
     for i in range(trajectories):
         record = run_episode(

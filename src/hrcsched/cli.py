@@ -239,24 +239,23 @@ def _cmd_oracle(args, spec: JobSpec, seed: int, strict: bool) -> int:
 
 
 def _unpickable_reason(state, agent, tid: str) -> str:
-    if tid not in state.job.tasks:
+    job = state.job
+    t = job.index.get(tid)
+    if t is None:
         return "no such task"
-    if tid in state.completed:
+    if state.completed_mask >> t & 1:
         return "already done"
-    if tid not in state.board.stones:
+    if state.rows[t] < 0:  # picked, by this agent or a teammate
         return "already being worked on"
-    stone = state.board.stones[tid]
-    if stone.row != 0:
+    if state.rows[t] != 0:
         return "not on the bottom row yet"
-    if tid in state.taken:
-        return "a teammate picked it this epoch"
-    kind = state.job.tasks[tid].kind
+    kind = job.kinds[t]
     if agent.is_human and kind == ROBOT_ONLY:
         return "only a robot can do it"
     if not agent.is_human and kind == HUMAN_ONLY:
         return "only a human can do it"
-    waiting = state.job.pred[state.job.index[tid]] & ~state.completed_mask
-    missing = sorted(t for i, t in enumerate(state.job.ids) if waiting >> i & 1)
+    waiting = job.pred[t] & ~state.completed_mask
+    missing = sorted(u for i, u in enumerate(job.ids) if waiting >> i & 1)
     if missing:
         return f"waiting on {', '.join(missing)}"
     return "not available"
@@ -268,9 +267,10 @@ def _prompt_human(state, agent, out):
     print(file=out)
     print(state.board.render(), file=out)
     print(f"clock {state.clock}", file=out)
-    for other, st in state.agents.items():
-        if st.busy:
-            print(f"{other} is working on {st.task}, {st.remaining} left", file=out)
+    job = state.job
+    for other, t, finish in zip(job.roster, state.doing, state.finish):
+        if t >= 0:
+            print(f"{other} is working on {job.ids[t]}, {finish - state.clock} left", file=out)
     available = ", ".join(sorted(picks)) if picks else "nothing"
     print(f"{agent} may pick: {available}", file=out)
 

@@ -22,11 +22,12 @@ task's direct predecessors as bitmasks, and the initial layout. A
 ``rows``), each agent's task index (-1 when idle) and finish clock, the
 clock, bitmasks of the completed tasks, the tasks taken and the agents
 that declined this epoch, and the index of the agent to act next (-1 once
-the epoch is closed). The rules read only these ints; ``board``,
-``agents``, ``completed``, ``taken`` and ``declined`` give the same state
-in job terms, built on each access. States are never changed once made:
-a pick copies its state's lists once, and a decline shares the layout
-with the state it came from.
+the epoch is closed). The rules and every caller read these fields
+directly; ``board`` is a ``Board`` view of the layout, built on each
+access. ``transition`` is the one step function: it acts for the pending
+agent and closes the epoch when that agent was the last to act. States
+are never changed once made: a pick copies its state's lists once, and a
+decline shares the layout with the state it came from.
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ NOOP = AgentAction(None)
 
 def pick(task_id: str) -> AgentAction:
     return AgentAction(task_id)
-
-
-@dataclass(frozen=True)
-class AgentState:
-    task: str | None = None
-    remaining: int = 0
-
-    @property
-    def busy(self):
-        return self.task is not None
-
-
-IDLE = AgentState()
 
 
 class JobContext:
@@ -171,44 +159,11 @@ class GameState:
         """A view of this state's layout."""
         return Board(self.job, self.cells, self.rows, _settled(self))
 
-    @property
-    def agents(self) -> dict[Agent, AgentState]:
-        ids = self.job.ids
-        return {
-            agent: IDLE if t < 0 else AgentState(ids[t], f - self.clock)
-            for agent, t, f in zip(self.job.roster, self.doing, self.finish)
-        }
-
-    @property
-    def completed(self) -> frozenset[str]:
-        return _members(self.job.ids, self.completed_mask)
-
-    @property
-    def taken(self) -> frozenset[str]:
-        return _members(self.job.ids, self.taken_mask)
-
-    @property
-    def declined(self) -> frozenset[Agent]:
-        return _members(self.job.roster, self.declined_mask)
-
 
 def _settled(state: GameState) -> bool:
     """Whether the layout is at its gravity fixpoint: the job's is, or a
     pick has settled it."""
     return state.job.settled or state.completed_mask != 0 or max(state.doing) >= 0
-
-
-def _members(items, mask: int) -> frozenset:
-    """The items whose bits are set in ``mask``."""
-    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
-
-
-@dataclass
-class TransitionResult:
-    next: GameState
-    reward: int
-    elapsed: int
-    freed: list[Agent]
 
 
 # The context built by the latest initial_state call. Every caller plays one
@@ -245,13 +200,6 @@ def is_stalled(state: GameState) -> bool:
     return state.pending < 0 and max(state.doing) < 0 and not is_terminal(state)
 
 
-def _slot(state: GameState, agent: Agent) -> int:
-    """The roster index of ``agent``."""
-    p = state.pending
-    roster = state.job.roster
-    return p if p >= 0 and roster[p] is agent else roster.index(agent)
-
-
 def _first_idle(doing: list[int], declined: int) -> int:
     for i, t in enumerate(doing):
         if t < 0 and not declined >> i & 1:
@@ -266,10 +214,15 @@ def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     not already taken this epoch, and (strict mode only) every direct
     predecessor has completed.
     """
-    p = _slot(state, agent)
+    job = state.job
+    roster = job.roster
+    p = state.pending
+    if p < 0 or roster[p] is not agent:
+        if agent not in roster:
+            raise IllegalActionError(f"{agent} is not in this job's roster")
+        p = roster.index(agent)
     if state.doing[p] >= 0:
         raise IllegalActionError(f"{agent} is busy and cannot act")
-    job = state.job
     allowed = job.ok[p] & ~state.taken_mask
     pred, done, picks = job.pred, state.completed_mask, job.picks
     actions = []
@@ -283,12 +236,20 @@ def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     return actions
 
 
-def _act(state: GameState, p: int, action: AgentAction) -> GameState:
-    """The state after agent ``p``'s action, which must be in its legal
-    actions; the input is untouched."""
+def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, bool]:
+    """Apply the pending agent's action, closing the epoch if it was last.
+
+    Returns (next state, reward, epoch advanced); the input is untouched.
+    The action must be in the pending agent's legal actions. The reward is
+    nonzero only on epoch-closing steps, which jump the clock to the next
+    completion: the elapsed span is the smallest remaining time over busy
+    agents. A closing step with nobody busy leaves the state stalled rather
+    than raising; callers decide how to treat that.
+    """
+    p = state.pending
+    if p < 0:
+        raise GameError("no pending agent; the epoch is already closed")
     job = state.job
-    if state.doing[p] >= 0:
-        raise IllegalActionError(f"{job.roster[p]} is busy and cannot act")
     if not isinstance(action, AgentAction):
         raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
     if action.task is None:
@@ -296,79 +257,39 @@ def _act(state: GameState, p: int, action: AgentAction) -> GameState:
         doing = state.doing
         # the layout is shared; doing and finish are copied so that an
         # epoch close can advance the new state in place
-        return GameState(
+        nxt = GameState(
             job, state.cells, state.rows, doing[:], state.finish[:], state.clock,
             state.completed_mask, state.taken_mask, declined, _first_idle(doing, declined),
         )
-    t = job.index.get(action.task)
-    if (
-        t is None
-        or state.rows[t] != 0
-        or not (job.ok[p] & ~state.taken_mask) >> t & 1
-        or job.pred[t] & ~state.completed_mask
-    ):
-        raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-    nxt = state.copy()
-    cascade(nxt.cells, nxt.rows, job.col, job.span, job.width, t, _settled(state))
-    nxt.doing[p] = t
-    nxt.finish[p] = state.clock + job.duration[t]
-    nxt.taken_mask |= 1 << t
-    nxt.pending = _first_idle(nxt.doing, nxt.declined_mask)
-    return nxt
-
-
-def apply_pick(state: GameState, agent: Agent, action: AgentAction) -> GameState:
-    """One agent's decision. Returns a new state; the input is untouched."""
-    return _act(state, _slot(state, agent), action)
-
-
-def _advance_in_place(state: GameState) -> tuple[int, list[int]]:
-    """Jump ``state`` itself, whose ``doing`` and ``finish`` lists it must
-    own, to the next completion instant and open a new epoch. Returns
-    (elapsed time, roster indices of the agents freed)."""
-    doing, finish = state.doing, state.finish
-    busy = [i for i, t in enumerate(doing) if t >= 0]
-    if not busy:
-        raise DeadlockError("no agent is busy, time cannot advance")
-    soon = min(finish[i] for i in busy)
-    elapsed = soon - state.clock
-    freed = [i for i in busy if finish[i] == soon]
-    for i in freed:
-        state.completed_mask |= 1 << doing[i]
-        doing[i] = -1
-    state.clock = soon
-    state.taken_mask = state.declined_mask = 0
-    state.pending = _first_idle(doing, 0)
-    return elapsed, freed
-
-
-def advance_time(state: GameState) -> TransitionResult:
-    """Jump to the next completion instant and open a new epoch. Returns a
-    new state; the input is untouched."""
-    nxt = state.copy()
-    elapsed, freed = _advance_in_place(nxt)
-    roster = state.job.roster
-    return TransitionResult(
-        next=nxt, reward=-elapsed, elapsed=elapsed, freed=[roster[i] for i in freed]
-    )
-
-
-def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, bool]:
-    """Apply the pending agent's action, closing the epoch if it was last.
-
-    Returns (next state, reward, epoch advanced). The reward is nonzero only
-    on epoch-closing steps. A closing step with nobody busy leaves the state
-    stalled rather than raising; callers decide how to treat that.
-    """
-    p = state.pending
-    if p < 0:
-        raise GameError("no pending agent; the epoch is already closed")
-    nxt = _act(state, p, action)
-    if nxt.pending < 0 and max(nxt.doing) >= 0:
-        # nxt owns its doing and finish lists, so time advances on it directly
-        elapsed, _ = _advance_in_place(nxt)
-        return nxt, -elapsed, True
-    return nxt, 0, False
+    else:
+        t = job.index.get(action.task)
+        if (
+            t is None
+            or state.rows[t] != 0
+            or not (job.ok[p] & ~state.taken_mask) >> t & 1
+            or job.pred[t] & ~state.completed_mask
+        ):
+            raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
+        nxt = state.copy()
+        cascade(nxt.cells, nxt.rows, job.col, job.span, job.width, t, _settled(state))
+        nxt.doing[p] = t
+        nxt.finish[p] = state.clock + job.duration[t]
+        nxt.taken_mask |= 1 << t
+        nxt.pending = _first_idle(nxt.doing, nxt.declined_mask)
+    doing, finish = nxt.doing, nxt.finish
+    if nxt.pending >= 0 or max(doing) < 0:
+        return nxt, 0, False
+    # the epoch closes: every agent is busy or has declined, and someone is busy
+    soon = min(f for t, f in zip(doing, finish) if t >= 0)
+    for i, t in enumerate(doing):
+        if t >= 0 and finish[i] == soon:
+            nxt.completed_mask |= 1 << t
+            doing[i] = -1
+    elapsed = soon - nxt.clock
+    nxt.clock = soon
+    nxt.taken_mask = nxt.declined_mask = 0
+    nxt.pending = _first_idle(doing, 0)
+    return nxt, -elapsed, True
 
 
 def noop_stalls(state: GameState) -> bool:

@@ -463,25 +463,21 @@ class NetEvaluator:
     remaining times share one forward pass.
     """
 
-    def __init__(self, params, height: int, width: int, cache: bool = True):
+    def __init__(self, params, height: int, width: int):
         self.params = params
         self.height = height
         self.width = width
-        self._cache: dict | None = {} if cache else None
+        self._cache: dict = {}
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
-        key = None
-        if self._cache is not None:
-            # a stone's column and span never change, so the layout fixes
-            # which stones remain and their rows
-            key = (state.job, tuple(state.cells))
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+        # a stone's column and span never change, so the layout fixes which
+        # stones remain and their rows
+        key = (state.job, tuple(state.cells))
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         out = forward(self.params, encode_state(state, self.height, self.width))
-        result = (out.p, out.v)
-        if self._cache is not None:
-            self._cache[key] = result
+        result = self._cache[key] = (out.p, out.v)
         return result
 
 

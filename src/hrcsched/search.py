@@ -25,13 +25,14 @@ from .game import (
     transition,
 )
 
+NOOP_PRIOR = 0.001  # NoOp's prior before the edge priors are renormalised
+
 
 @dataclass
 class SearchConfig:
     c_puct: float = 100.0
     max_depth: int | None = 3  # None looks ahead without limit
     simulations: int = 30
-    noop_prior: float = 0.001
 
 
 @dataclass
@@ -114,11 +115,11 @@ def masked_priors(p: np.ndarray, columns: list[int]) -> np.ndarray:
     return masked / total
 
 
-def expand_and_evaluate(node: SearchNode, evaluator, noop_prior: float) -> float:
+def expand_and_evaluate(node: SearchNode, evaluator) -> float:
     """Populate the node's edges from the evaluator and return its value.
 
     Pick priors come from the network's column distribution masked to the
-    legal picks; NoOp receives a small fixed prior and the whole vector is
+    legal picks; NoOp receives ``NOOP_PRIOR`` and the whole vector is
     renormalised. Terminal nodes get value 0 and no edges.
     """
     state = node.state
@@ -134,7 +135,7 @@ def expand_and_evaluate(node: SearchNode, evaluator, noop_prior: float) -> float
     if picks:
         cols = [state.job.tasks[a.task].col for a in picks]
         weights = masked_priors(p, cols).tolist()
-        weights.append(noop_prior)
+        weights.append(NOOP_PRIOR)
         total = sum(weights)
         priors = [w / total for w in weights]
     else:
@@ -190,7 +191,7 @@ class SearchTree:
         """
         cfg = self.config
         if not self.root.expanded:
-            expand_and_evaluate(self.root, self.evaluator, cfg.noop_prior)
+            expand_and_evaluate(self.root, self.evaluator)
         if self.root.terminal:
             raise ValueError("cannot search from a terminal state")
         if len(self.root.edges) == 1:
@@ -243,12 +244,12 @@ class SearchTree:
                 _, value = self.evaluator(node.state)
                 node.cached_value = float(value)
             return node.cached_value
-        return expand_and_evaluate(node, self.evaluator, self.config.noop_prior)
+        return expand_and_evaluate(node, self.evaluator)
 
     def advance_root(self, action: AgentAction) -> None:
         """Keep the subtree behind the action taken; drop everything else."""
         if not self.root.expanded:
-            expand_and_evaluate(self.root, self.evaluator, self.config.noop_prior)
+            expand_and_evaluate(self.root, self.evaluator)
         for edge in self.root.edges:
             if edge.action == action:
                 self.root = _child(self.root, edge)

@@ -6,6 +6,7 @@ branch-and-bound optimum, and a plain iterative deepening that must
 reproduce every field of the oracle's result.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,14 @@ def test_random_rollouts_deterministic():
     assert a.makespans == b.makespans
     c = random_rollouts(spec, trajectories=50, seed=10)
     assert a.makespans != c.makespans
+
+
+@pytest.mark.parametrize("trajectories", [0, -3])
+def test_random_rollouts_needs_a_trajectory(trajectories):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        with pytest.raises(ValueError, match="trajectories"):
+            random_rollouts(parse_jobspec(TINY_TEXT), trajectories=trajectories)
 
 
 def test_random_rollouts_never_beat_the_oracle():

@@ -384,6 +384,20 @@ def test_advise_names_the_unfinished_predecessor(tmp_path, capsys, monkeypatch):
     assert "H2> cannot pick B: waiting on A\n" in capsys.readouterr().out
 
 
+def test_advise_names_picked_and_done_tasks(tmp_path, capsys, monkeypatch):
+    # H1 takes x, so x has left the board when H2 asks for it; x finishes
+    # at clock 1 and then reads as done
+    path = tmp_path / "row.job"
+    path.write_text("board 3 1\nagents 2 0\ntask x E 1 0 0\ntask y E 2 1 0\ntask z E 1 2 0\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("pick x\npick x\npick y\npick x\nquit\n"))
+    code = run_cli(["advise", "--jobspec", str(path), "--out", str(tmp_path / "a")])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert "H2> cannot pick x: already being worked on\n" in text
+    assert "clock 1\n" in text
+    assert "H1> cannot pick x: already done\n" in text
+
+
 def test_advise_quit_writes_partial_schedule(tiny_path, tmp_path, capsys, monkeypatch):
     code, text, out = advise_session(tiny_path, tmp_path, capsys, monkeypatch, "quit\n")
     assert code == 0

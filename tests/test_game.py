@@ -9,8 +9,6 @@ from hrcsched import (
     GameError,
     IllegalActionError,
     NOOP,
-    advance_time,
-    apply_pick,
     desk_fixture,
     episode_log_csv,
     initial_state,
@@ -61,7 +59,7 @@ def test_initial_state():
     state = tiny_state()
     assert state.clock == 0
     assert state.job.roster == (H1, R1)
-    assert all(not st.busy for st in state.agents.values())
+    assert state.doing == [-1, -1]
     assert not is_terminal(state)
     assert not is_stalled(state)
 
@@ -78,28 +76,33 @@ def test_legal_actions_bottom_row_and_kind():
 
 
 def test_legal_actions_busy_agent_raises():
-    state = apply_pick(tiny_state(), H1, pick("A"))
+    state, _, _ = transition(tiny_state(), pick("A"))
     with pytest.raises(IllegalActionError):
         legal_actions(state, H1)
+
+
+def test_legal_actions_rejects_agent_outside_roster():
+    with pytest.raises(IllegalActionError):
+        legal_actions(tiny_state(), Agent("H", 2))
 
 
 def test_pick_exposes_stone_above():
     state = tiny_state()
     assert state.board.bottom_row_tasks() == ["A", "C"]
-    nxt = apply_pick(state, H1, pick("A"))
+    nxt, _, _ = transition(state, pick("A"))
     assert nxt.board.bottom_row_tasks() == ["B", "C"]
     # the input state is untouched
     assert state.board.bottom_row_tasks() == ["A", "C"]
 
 
 def test_strict_blocks_running_predecessor():
-    nxt = apply_pick(tiny_state(), H1, pick("A"))
+    nxt, _, _ = transition(tiny_state(), pick("A"))
     # A is still running, so its successor B stays locked
     assert legal_actions(nxt, R1) == [pick("C"), NOOP]
 
 
 def test_literal_mode_allows_exposed_successor():
-    nxt = apply_pick(tiny_state(strict=False), H1, pick("A"))
+    nxt, _, _ = transition(tiny_state(strict=False), pick("A"))
     assert legal_actions(nxt, R1) == [pick("B"), pick("C"), NOOP]
 
 
@@ -114,36 +117,31 @@ def test_taken_task_unavailable_to_later_agent():
     )
     state = initial_state(spec)
     h2 = Agent("H", 2)
-    nxt = apply_pick(state, Agent("H", 1), pick("x"))
+    nxt, _, _ = transition(state, pick("x"))
     assert legal_actions(nxt, h2) == [pick("y"), NOOP]
 
 
-def test_apply_pick_rejects_illegal():
-    state = tiny_state()
+def test_transition_rejects_illegal_robot_picks():
+    state, _, _ = transition(tiny_state(), NOOP)  # R1 acts once H1 declines
     with pytest.raises(IllegalActionError):
-        apply_pick(state, R1, pick("B"))
+        transition(state, pick("B"))
     with pytest.raises(IllegalActionError):
-        apply_pick(state, R1, pick("A"))
+        transition(state, pick("A"))
 
 
 def test_transition_epoch_close_and_reward():
     state = tiny_state()
     state, reward, advanced = transition(state, pick("A"))
     assert (reward, advanced) == (0, False)
-    assert state.agents[H1].busy
+    job = state.job
+    assert state.doing == [job.index["A"], -1]
     state, reward, advanced = transition(state, pick("C"))
     # shortest running task is A with 2 units left
     assert (reward, advanced) == (-2, True)
     assert state.clock == 2
-    assert state.completed == frozenset({"A"})
-    assert not state.agents[H1].busy
-    assert state.agents[R1].task == "C"
-    assert state.agents[R1].remaining == 2
-
-
-def test_advance_time_requires_busy_agent():
-    with pytest.raises(DeadlockError):
-        advance_time(tiny_state())
+    assert state.completed_mask == 1 << job.index["A"]
+    assert state.doing == [-1, job.index["C"]]
+    assert state.finish[1] - state.clock == 2
 
 
 def test_double_decline_stalls_then_raises():
@@ -255,13 +253,15 @@ def test_strict_never_worse_than_sum_of_durations():
 def snapshot(state):
     """Everything a transition could change, copied out of the state."""
     return (
+        state.cells[:],
+        state.rows[:],
+        state.doing[:],
+        state.finish[:],
         state.clock,
-        state.completed,
-        state.declined,
-        state.taken,
-        dict(state.agents),
-        [row[:] for row in state.board.grid],
-        {k: (s.col, s.span, s.row) for k, s in state.board.stones.items()},
+        state.completed_mask,
+        state.taken_mask,
+        state.declined_mask,
+        state.pending,
     )
 
 
@@ -310,8 +310,6 @@ def test_each_illegal_pick_raises():
     taken, _, _ = transition(initial_state(spec), pick("x"))
     with pytest.raises(IllegalActionError):
         transition(taken, pick("x"))
-    with pytest.raises(IllegalActionError):
-        apply_pick(taken, H1, NOOP)  # H1 is busy
 
 
 def test_transition_leaves_its_input_untouched():

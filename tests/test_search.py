@@ -188,7 +188,7 @@ def test_masked_priors():
 
 def test_expand_sets_noop_prior():
     node = SearchNode(state=tiny_state(), depth=0)
-    value = expand_and_evaluate(node, UniformEvaluator(2), noop_prior=0.001)
+    value = expand_and_evaluate(node, UniformEvaluator(2))
     assert value == 0.0
     priors = {str(e.action): e.prior for e in node.edges}
     assert priors["noop"] == pytest.approx(0.001 / 1.001)
@@ -206,7 +206,7 @@ def test_expand_with_no_picks_gives_noop_everything():
         """
     )
     node = SearchNode(state=initial_state(spec), depth=0)
-    expand_and_evaluate(node, UniformEvaluator(1), noop_prior=0.001)
+    expand_and_evaluate(node, UniformEvaluator(1))
     assert [(str(e.action), e.prior) for e in node.edges] == [("noop", 1.0)]
 
 
@@ -309,7 +309,7 @@ def test_advance_root_reuses_subtree():
 def test_advance_root_materialises_unexplored_child():
     tree = SearchTree(tiny_state(), UniformEvaluator(2))
     tree.advance_root(NOOP)
-    assert tree.root.state.declined
+    assert tree.root.state.declined_mask
     with pytest.raises(ValueError):
         tree.advance_root(pick("Z"))
 
