@@ -5,13 +5,15 @@ iteration), baseline (random rollouts), oracle (exhaustive enumeration),
 advise (interactive session where humans choose and robots follow the
 search).
 
-Exit codes: 0 success, 1 runtime failure, 2 bad command line, 3 unreadable
-or invalid jobspec, 4 unreadable or mismatched checkpoint.
+Exit codes: 0 success, 1 runtime failure (illegal play, deadlock or
+unwritable output), 2 bad command line, 3 unreadable or invalid jobspec,
+4 unreadable or mismatched checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -69,26 +71,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="directory for output files")
 
     searchy = argparse.ArgumentParser(add_help=False)
-    searchy.add_argument("--simulations", type=int, default=30, help="search simulations per decision")
+    searchy.add_argument(
+        "--simulations", type=int, default=SearchConfig.simulations, help="simulations per decision"
+    )
     searchy.add_argument(
         "--max-depth",
         type=int,
-        default=3,
+        default=SearchConfig.max_depth or 0,
         help="search depth in epochs from the current decision; 0 means unlimited",
     )
-    searchy.add_argument("--c-puct", type=float, default=100.0, help="exploration constant")
+    searchy.add_argument(
+        "--c-puct", type=float, default=SearchConfig.c_puct, help="exploration constant"
+    )
     searchy.add_argument("--checkpoint", default=None, help="load network weights from this file")
 
     p = sub.add_parser("solve", parents=[common, searchy], help="compute one schedule")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("train", parents=[common, searchy], help="run self-play training")
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--episodes", type=int, default=10, help="self-play episodes per iteration")
+    p.add_argument("--iterations", type=int, default=TrainingConfig.iterations)
+    p.add_argument(
+        "--episodes", type=int, default=TrainingConfig.episodes, help="episodes per iteration"
+    )
     p.add_argument(
         "--temperature-moves",
         type=int,
-        default=4,
+        default=TrainingConfig.temperature_moves,
         help="decisions per episode sampled from the visit counts before play turns greedy",
     )
     p.set_defaults(func=_cmd_train)
@@ -109,13 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else $HRC_SEED, else 0; numpy's generators take no negative seed."""
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV, "0")
+        name, raw = "--seed", str(args.seed)
+    else:
+        name, raw = SEED_ENV, os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise _CliError(2, f"{SEED_ENV} must be an integer, got {raw!r}")
+        seed = None
+    if seed is None or seed < 0:
+        raise _CliError(2, f"{name} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _load_spec(path) -> JobSpec:
@@ -135,6 +148,8 @@ def _search_config(args) -> SearchConfig:
         raise _CliError(2, "--simulations must be at least 1")
     if args.max_depth < 0:
         raise _CliError(2, "--max-depth must be 0 (unlimited) or positive")
+    if not math.isfinite(args.c_puct) or args.c_puct < 0:
+        raise _CliError(2, "--c-puct must be a finite number, 0 or more")
     return SearchConfig(
         c_puct=args.c_puct,
         max_depth=None if args.max_depth == 0 else args.max_depth,
@@ -162,10 +177,13 @@ def _make_evaluator(args, spec: JobSpec, seed: int, strict: bool) -> NetEvaluato
 
 
 def _write(out_dir, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(1, f"cannot write {path}: {exc}")
     return path
 
 
@@ -194,7 +212,6 @@ def _cmd_train(args, spec: JobSpec, seed: int, strict: bool) -> int:
         seed=seed,
         strict=strict,
     )
-    os.makedirs(args.out, exist_ok=True)
 
     def show(r):
         print(
@@ -203,7 +220,11 @@ def _cmd_train(args, spec: JobSpec, seed: int, strict: bool) -> int:
             f"value_loss {r.value_loss:.6g}"
         )
 
-    reports, _ = training_loop(spec, config, out_dir=args.out, progress=show)
+    try:  # the loop writes its checkpoints into --out as it goes
+        os.makedirs(args.out, exist_ok=True)
+        reports, _ = training_loop(spec, config, out_dir=args.out, progress=show)
+    except OSError as exc:
+        raise _CliError(1, f"cannot write to {args.out}: {exc}")
     _write(args.out, "training_log.csv", training_log_csv(reports))
     print(f"best makespan {reports[-1].best_makespan}")
     return 0

@@ -16,6 +16,11 @@ EITHER = "E"
 
 TASK_KINDS = (HUMAN_ONLY, ROBOT_ONLY, EITHER)
 
+# Size caps checked before anything is allocated per cell or per agent; far
+# above any real job (the desk has 120 cells and 2 agents).
+MAX_CELLS = 10_000
+MAX_AGENTS = 100
+
 
 class JobSpecError(ValueError):
     """Raised for syntactically or semantically invalid job definitions."""
@@ -74,6 +79,10 @@ def _validate(spec: JobSpec) -> None:
         raise JobSpecError("agent counts cannot be negative")
     if spec.humans + spec.robots < 1:
         raise JobSpecError("at least one agent is required")
+    if spec.width * spec.height > MAX_CELLS:
+        raise JobSpecError(f"board has {spec.width * spec.height} cells, limit {MAX_CELLS}")
+    if spec.humans + spec.robots > MAX_AGENTS:
+        raise JobSpecError(f"roster has {spec.humans + spec.robots} agents, limit {MAX_AGENTS}")
     if not spec.tasks:
         raise JobSpecError("at least one task is required")
 

@@ -85,7 +85,6 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
 def init_params(
     height: int,
     width: int,
-    channels: int = 3,
     filters: tuple[int, ...] = (10, 10),
     dense_units: int = 128,
     seed: int = 0,
@@ -94,7 +93,7 @@ def init_params(
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     kept = plan_blocks(height, width, len(filters))
-    in_ch = channels
+    in_ch = len(CHANNEL_OF_KIND)  # the planes encode_state produces
     for i, f in enumerate(filters[: len(kept)]):
         fan_in = KERNEL * KERNEL * in_ch
         fan_out = KERNEL * KERNEL * f
@@ -327,7 +326,7 @@ def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
             f"board {job.height}x{job.width} exceeds the configured "
             f"input {height}x{width}"
         )
-    x = np.zeros((height, width, 3))
+    x = np.zeros((height, width, len(CHANNEL_OF_KIND)))
     kinds, col, span = job.kinds, job.col, job.span
     for t, row in enumerate(state.rows):
         if row >= 0:

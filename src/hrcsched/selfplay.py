@@ -36,23 +36,6 @@ def episode_seed(master_seed: int, iteration: int, episode: int) -> int:
     return master_seed * SEED_MASTER_STRIDE + iteration * SEED_ITERATION_STRIDE + episode
 
 
-class ReplayBuffer:
-    """FIFO buffer of training examples; old episodes fall out first."""
-
-    def __init__(self, capacity: int = 5000):
-        self.capacity = capacity
-        self._items: deque[TrainingExample] = deque(maxlen=capacity)
-
-    def add(self, examples) -> None:
-        self._items.extend(examples)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def snapshot(self) -> list[TrainingExample]:
-        return list(self._items)
-
-
 def _column_policy(state, policy_pairs) -> np.ndarray:
     """Fold the action policy onto columns, dropping any NoOp mass.
 
@@ -161,34 +144,25 @@ def clip_gradients(grads, max_norm: float):
     return {k: g * scale for k, g in grads.items()}
 
 
-def train_iteration(
-    buffer: ReplayBuffer,
-    params,
-    epochs: int = 5,
-    batch_size: int = 32,
-    seed: int = 0,
-    learning_rate: float = 0.01,
-    momentum: float = 0.9,
-    l2: float = 1e-4,
-    max_grad_norm: float = 10.0,
-):
-    """Minibatch SGD over the whole buffer. Returns (params, ce, mse) with
-    the losses averaged over every step taken."""
-    data = buffer.snapshot()
-    if not data or epochs == 0:
+def train_iteration(examples, params, config: TrainingConfig, seed: int = 0):
+    """Minibatch SGD over the ``examples`` sequence with the settings of
+    ``config``. Returns (params, ce, mse), each loss averaged over every step."""
+    if not examples or config.epochs == 0:
         return params, 0.0, 0.0
 
     rng = np.random.default_rng(seed)
     velocity = None
     ce_values: list[float] = []
     mse_values: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(data))
-        for lo in range(0, len(data), batch_size):
-            batch = [data[i] for i in order[lo : lo + batch_size]]
-            _, ce, mse, grads = loss_and_gradients(params, batch, l2)
-            grads = clip_gradients(grads, max_grad_norm)
-            params, velocity = sgd_step(params, grads, learning_rate, momentum, velocity)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        for lo in range(0, len(examples), config.batch_size):
+            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
+            _, ce, mse, grads = loss_and_gradients(params, batch, config.l2)
+            grads = clip_gradients(grads, config.max_grad_norm)
+            params, velocity = sgd_step(
+                params, grads, config.learning_rate, config.momentum, velocity
+            )
             ce_values.append(ce)
             mse_values.append(mse)
     return params, float(np.mean(ce_values)), float(np.mean(mse_values))
@@ -242,7 +216,7 @@ def training_loop(
         dense_units=cfg.dense_units,
         seed=cfg.seed,
     )
-    buffer = ReplayBuffer(cfg.capacity)
+    buffer: deque[TrainingExample] = deque(maxlen=cfg.capacity)  # oldest fall out first
     reports: list[IterationReport] = []
     best: int | None = None
 
@@ -258,19 +232,11 @@ def training_loop(
                 temperature_moves=cfg.temperature_moves,
                 strict=cfg.strict,
             )
-            buffer.add(examples)
+            buffer.extend(examples)
             makespans.append(record.makespan)
 
         params, ce, mse = train_iteration(
-            buffer,
-            params,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            seed=episode_seed(cfg.seed, k, cfg.episodes + 1),
-            learning_rate=cfg.learning_rate,
-            momentum=cfg.momentum,
-            l2=cfg.l2,
-            max_grad_norm=cfg.max_grad_norm,
+            list(buffer), params, cfg, seed=episode_seed(cfg.seed, k, cfg.episodes + 1)
         )
 
         greedy = play(

@@ -195,10 +195,18 @@ def test_seed_env_used_when_flag_absent(tiny_path, tmp_path, capsys, monkeypatch
 
 
 def test_bad_seed_env_is_a_usage_error(tiny_path, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HRC_SEED", "seven")
-    code = run_cli(["baseline", "--jobspec", tiny_path, "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "HRC_SEED" in capsys.readouterr().err
+    # (HRC_SEED, command line, what the message names); numpy refuses negative seeds
+    cases = [
+        ("seven", ["baseline"], "HRC_SEED"),
+        ("-2", ["baseline"], "HRC_SEED"),
+        ("0", ["solve", "--seed", "-1"], "--seed"),
+        ("0", ["baseline", "--seed", "-3"], "--seed"),
+    ]
+    for env, argv, named in cases:
+        monkeypatch.setenv("HRC_SEED", env)
+        code = run_cli(argv + ["--jobspec", tiny_path, "--out", str(tmp_path / "x")])
+        assert code == 2, (env, argv)
+        assert named in capsys.readouterr().err
 
 
 def test_missing_jobspec_exits_3(tmp_path, capsys):
@@ -246,12 +254,34 @@ def test_mismatched_checkpoint_exits_4(tmp_path, capsys):
     [
         ["--simulations", "0"],
         ["--max-depth", "-1"],
+        ["--c-puct", "nan"],
+        ["--c-puct", "inf"],
+        ["--c-puct", "-5"],
     ],
 )
 def test_bad_search_settings_exit_2(tiny_path, tmp_path, capsys, argv_extra):
     code = run_cli(["solve", "--jobspec", tiny_path, "--out", str(tmp_path / "o")] + argv_extra)
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--simulations", "2"],
+        ["oracle"],
+        ["baseline", "--trajectories", "5"],
+        ["train", "--iterations", "1", "--episodes", "1", "--simulations", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_1(tiny_path, tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    code = run_cli(argv + ["--jobspec", tiny_path, "--out", str(taken)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert taken.read_text() == "a file, not a directory\n"
 
 
 def test_train_rejects_checkpoint_and_bad_counts(tiny_path, tmp_path, capsys):

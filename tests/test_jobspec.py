@@ -12,6 +12,7 @@ from hrcsched import (
     parse_jobspec,
     serialize_jobspec,
 )
+from hrcsched.jobspec import MAX_AGENTS, MAX_CELLS
 
 from conftest import TINY_TEXT, random_instance
 
@@ -88,6 +89,21 @@ def test_round_trip():
 def test_parse_errors(text, fragment):
     with pytest.raises(JobSpecError, match=fragment):
         parse_jobspec(text)
+
+
+def test_job_size_limits():
+    # a job is refused before anything is allocated per cell or per agent
+    with pytest.raises(JobSpecError, match="cells"):
+        parse_jobspec("board 100000 100000\nagents 1 1\ntask a E 1 0 0\n")
+    with pytest.raises(JobSpecError, match="cells"):
+        parse_jobspec(f"board {MAX_CELLS + 1} 1\nagents 1 1\ntask a E 1 0 0\n")
+    with pytest.raises(JobSpecError, match="agents"):
+        parse_jobspec(f"board 2 2\nagents {MAX_AGENTS} 1\ntask a E 1 0 0\n")
+    at_limit = parse_jobspec(
+        f"board {MAX_CELLS // 2} 2\nagents {MAX_AGENTS - 1} 1\ntask a E 1 0 0\n"
+    )
+    assert at_limit.width * at_limit.height == MAX_CELLS
+    assert at_limit.humans + at_limit.robots == MAX_AGENTS
 
 
 def test_error_reports_line_number():

@@ -8,7 +8,6 @@ from hrcsched import (
     IterationReport,
     NOOP,
     NetEvaluator,
-    ReplayBuffer,
     SearchConfig,
     TrainingConfig,
     TrainingExample,
@@ -26,6 +25,7 @@ from hrcsched import (
     training_loop,
     transition,
 )
+from hrcsched import selfplay
 from hrcsched.game import pick
 from hrcsched.net import loss, network_width
 from hrcsched.selfplay import _column_policy
@@ -38,12 +38,6 @@ def tiny_net_evaluator(seed=0):
     return NetEvaluator(params, 2, 2)
 
 
-def buffer_of(examples):
-    buf = ReplayBuffer()
-    buf.add(examples)
-    return buf
-
-
 def test_episode_seed_formula():
     assert episode_seed(0, 0, 0) == 0
     assert episode_seed(5, 3, 2) == 5 * 1_000_003 + 3 * 1_009 + 2
@@ -51,15 +45,33 @@ def test_episode_seed_formula():
     assert len(seeds) == 3 * 10 * 12
 
 
-def test_replay_buffer_fifo():
-    buf = ReplayBuffer(capacity=3)
-    items = [TrainingExample(x=np.zeros((1, 1, 3)), policy=np.ones(1), value=-i)
-             for i in range(5)]
-    buf.add(items[:2])
-    assert len(buf) == 2
-    buf.add(items[2:])
-    assert len(buf) == 3
-    assert [e.value for e in buf.snapshot()] == [-2, -3, -4]
+def test_training_loop_trains_on_newest_examples(monkeypatch):
+    # the loop keeps at most `capacity` examples, and the oldest fall out first
+    made, handed = [], []
+    real_generate = selfplay.generate_episode
+
+    def generate(*args, **kwargs):
+        record, examples = real_generate(*args, **kwargs)
+        made.extend(examples)
+        return record, examples
+
+    def train(examples, params, config, seed=0):
+        handed.append((list(examples), list(made)))
+        return params, 0.0, 0.0
+
+    monkeypatch.setattr(selfplay, "generate_episode", generate)
+    monkeypatch.setattr(selfplay, "train_iteration", train)
+    cfg = TrainingConfig(
+        iterations=2, episodes=3, search=SearchConfig(simulations=5), capacity=4,
+        filters=(4,), dense_units=8,
+    )
+    training_loop(parse_jobspec(TINY_TEXT), cfg)
+    assert len(handed) == 2
+    for examples, so_far in handed:
+        assert len(so_far) > cfg.capacity  # so some examples were evicted
+        newest = so_far[-cfg.capacity:]
+        assert len(examples) == len(newest) == cfg.capacity
+        assert all(a is b for a, b in zip(examples, newest))
 
 
 def test_column_policy_folds_out_noop():
@@ -163,10 +175,10 @@ def test_clip_gradients():
 
 def test_train_iteration_empty_or_zero_epochs_is_identity():
     params = init_params(2, 2, filters=(4,), dense_units=8)
-    out, ce, mse = train_iteration(ReplayBuffer(), params)
+    out, ce, mse = train_iteration([], params, TrainingConfig())
     assert out is params and ce == 0.0 and mse == 0.0
     example = TrainingExample(x=np.zeros((2, 2, 3)), policy=np.array([1.0, 0.0]), value=-3.0)
-    out, ce, mse = train_iteration(buffer_of([example]), params, epochs=0)
+    out, ce, mse = train_iteration([example], params, TrainingConfig(epochs=0))
     assert out is params and ce == 0.0 and mse == 0.0
 
 
@@ -178,11 +190,10 @@ def test_train_iteration_reduces_loss():
         pi = rng.random(2)
         pi /= pi.sum()
         examples.append(TrainingExample(x=x, policy=pi, value=-float(rng.integers(2, 10))))
-    buf = buffer_of(examples)
     params = init_params(2, 2, filters=(4,), dense_units=8, seed=1)
     before = loss(params, examples)
     trained, ce, mse = train_iteration(
-        buf, params, epochs=20, seed=3, learning_rate=0.005
+        examples, params, TrainingConfig(epochs=20, learning_rate=0.005), seed=3
     )
     after = loss(trained, examples)
     assert after < before
@@ -193,10 +204,10 @@ def test_train_iteration_is_deterministic():
     example = TrainingExample(
         x=np.eye(2)[..., None] * np.ones(3), policy=np.array([0.7, 0.3]), value=-4.0
     )
-    buf = buffer_of([example] * 8)
+    examples = [example] * 8
     params = init_params(2, 2, filters=(4,), dense_units=8)
-    a, _, _ = train_iteration(buf, params, seed=5)
-    b, _, _ = train_iteration(buf, params, seed=5)
+    a, _, _ = train_iteration(examples, params, TrainingConfig(), seed=5)
+    b, _, _ = train_iteration(examples, params, TrainingConfig(), seed=5)
     for k in a:
         assert np.array_equal(a[k], b[k])
 
