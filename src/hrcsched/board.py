@@ -72,10 +72,8 @@ def cascade(
     """Remove bottom-row task ``t`` from the layout, in place, and let the
     stack settle (see the module docstring).
 
-    Returns the task of every single-row descent in scan order, so undoing
-    them last first, each one row up, restores the layout before ``t``
-    goes back. ``settled`` is False for the first cascade of a layout
-    that may float.
+    Returns the task of every single-row descent, in scan order.
+    ``settled`` is False for the first cascade of a layout that may float.
     """
     lo = col[t]
     hi = lo + span[t]

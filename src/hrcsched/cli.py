@@ -19,6 +19,8 @@ import sys
 
 from .baselines import (
     BUDGET_EXCEEDED,
+    NODE_BUDGET,
+    TRAJECTORIES,
     exhaustive_search,
     histogram_csv,
     oracle_report_csv,
@@ -102,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("baseline", parents=[common], help="random-rollout statistics")
-    p.add_argument("--trajectories", type=int, default=1000)
+    p.add_argument("--trajectories", type=int, default=TRAJECTORIES)
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("oracle", parents=[common], help="exhaustive search for the optimum")
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser(
@@ -176,15 +178,17 @@ def _make_evaluator(args, spec: JobSpec, seed: int, strict: bool) -> NetEvaluato
     return evaluator
 
 
-def _write(out_dir, name: str, text: str) -> str:
+def _write(out_dir, name: str, text: str | None = None) -> None:
+    """Write ``text`` to ``name`` in ``out_dir``, making the directory
+    first; with no text, only make the directory."""
     path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        if text is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
         raise _CliError(1, f"cannot write {path}: {exc}")
-    return path
 
 
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
@@ -323,6 +327,7 @@ def _prompt_human(state, agent, out):
 def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     robots = search_chooser(_make_evaluator(args, spec, seed, strict), config)
+    _write(args.out, "schedule.csv")  # fail before the operator plays, not after
     out = sys.stdout
     stopped = False
 

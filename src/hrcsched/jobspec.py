@@ -158,6 +158,8 @@ def parse_jobspec(text: str) -> JobSpec:
                     "expected: task <id> <H|R|E> <duration> <col> <row> [span]", lineno
                 )
             tid, kind = fields[1], fields[2]
+            if "," in tid or '"' in tid:
+                raise JobSpecError(f"task id {tid!r} may not contain ',' or '\"'", lineno)
             if kind not in TASK_KINDS:
                 raise JobSpecError(f"unknown task kind {kind!r}", lineno)
             duration, col, row = _ints(fields[3:6], lineno)

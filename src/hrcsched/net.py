@@ -27,6 +27,8 @@ from .game import GameState
 KERNEL = 2
 POOL = 2
 CHANNEL_OF_KIND = {"H": 0, "R": 1, "E": 2}
+FILTERS = (10, 10)  # output channels of each convolution block
+DENSE_UNITS = 128
 
 
 class CheckpointError(Exception):
@@ -85,8 +87,8 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
 def init_params(
     height: int,
     width: int,
-    filters: tuple[int, ...] = (10, 10),
-    dense_units: int = 128,
+    filters: tuple[int, ...] = FILTERS,
+    dense_units: int = DENSE_UNITS,
     seed: int = 0,
 ) -> dict[str, np.ndarray]:
     """Seeded uniform initialisation, scale sqrt(6 / (fan_in + fan_out))."""
@@ -402,6 +404,8 @@ def loads_checkpoint(text: str) -> dict[str, np.ndarray]:
         if len(values) != count:
             raise CheckpointError(f"tensor {name!r} payload has extra values")
         params[name] = np.asarray(values).reshape(dims)
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"tensor {name!r} has a non-finite value")
     if not ended:
         raise CheckpointError("missing end marker")
     for rest in lines[i:]:

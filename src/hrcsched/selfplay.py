@@ -18,6 +18,8 @@ import numpy as np
 from .game import DeadlockError, EpisodeRecord, noop_stalls, play
 from .jobspec import JobSpec
 from .net import (
+    DENSE_UNITS,
+    FILTERS,
     NetEvaluator,
     TrainingExample,
     encode_state,
@@ -101,12 +103,31 @@ def search_chooser(evaluator, config: SearchConfig | None = None, temperature_mo
     return choose
 
 
+@dataclass
+class TrainingConfig:
+    iterations: int = 10
+    episodes: int = 10
+    search: SearchConfig = field(default_factory=SearchConfig)
+    epochs: int = 5
+    batch_size: int = 32
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+    l2: float = 1e-4
+    max_grad_norm: float = 10.0
+    capacity: int = 5000
+    temperature_moves: int = 4
+    seed: int = 0
+    strict: bool = True
+    filters: tuple[int, ...] = FILTERS
+    dense_units: int = DENSE_UNITS
+
+
 def generate_episode(
     spec: JobSpec,
     evaluator,
     search_config: SearchConfig | None = None,
     seed: int = 0,
-    temperature_moves: int = 4,
+    temperature_moves: int = TrainingConfig.temperature_moves,
     strict: bool = True,
 ) -> tuple[EpisodeRecord, list[TrainingExample]]:
     """Play one search-guided episode (``search_chooser``) and turn its
@@ -166,25 +187,6 @@ def train_iteration(examples, params, config: TrainingConfig, seed: int = 0):
             ce_values.append(ce)
             mse_values.append(mse)
     return params, float(np.mean(ce_values)), float(np.mean(mse_values))
-
-
-@dataclass
-class TrainingConfig:
-    iterations: int = 10
-    episodes: int = 10
-    search: SearchConfig = field(default_factory=SearchConfig)
-    epochs: int = 5
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    l2: float = 1e-4
-    max_grad_norm: float = 10.0
-    capacity: int = 5000
-    temperature_moves: int = 4
-    seed: int = 0
-    strict: bool = True
-    filters: tuple[int, ...] = (10, 10)
-    dense_units: int = 128
 
 
 @dataclass

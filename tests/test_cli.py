@@ -5,6 +5,7 @@ import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hrcsched import desk_fixture, init_params, save_checkpoint, serialize_jobspec
@@ -234,6 +235,23 @@ def test_garbage_checkpoint_exits_4(tiny_path, tmp_path, capsys):
     assert "bad checkpoint" in capsys.readouterr().err
 
 
+def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
+    desk = desk_fixture()
+    job = tmp_path / "desk.job"
+    job.write_text(serialize_jobspec(desk))
+    ckpt = tmp_path / "nan.txt"
+    params = init_params(desk.height, desk.width)
+    params["value_b"][:] = np.nan
+    save_checkpoint(params, ckpt)
+    code = run_cli(
+        ["solve", "--jobspec", str(job), "--out", str(tmp_path / "o"),
+         "--checkpoint", str(ckpt)]
+    )
+    assert code == 4
+    assert "value_b" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_mismatched_checkpoint_exits_4(tmp_path, capsys):
     spec_path = tmp_path / "wide.job"
     spec_path.write_text(
@@ -433,6 +451,17 @@ def test_advise_quit_writes_partial_schedule(tiny_path, tmp_path, capsys, monkey
     assert code == 0
     assert text == "\nR.\nHE\nclock 0\nH1 may pick: A, C\nH1> stopped at clock 0\n"
     assert (out / "schedule.csv").read_text() == "agent,task,start,end\n"
+
+
+def test_advise_checks_out_before_the_first_prompt(tiny_path, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "afile"
+    taken.write_text("")
+    monkeypatch.setattr("sys.stdin", io.StringIO("pick A\nwait\n"))
+    code = run_cli(["advise", "--jobspec", tiny_path, "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cannot write" in captured.err
 
 
 def test_advise_eof_quits(tiny_path, tmp_path, capsys, monkeypatch):

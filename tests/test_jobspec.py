@@ -66,6 +66,9 @@ def test_round_trip():
         ("board 2 2\nagents 1\n", "expected: agents"),
         ("board 2 2\nagents 1 1\ntask a E 1 0\n", "expected: task"),
         ("board 2 2\nagents 1 1\ntask a X 1 0 0\n", "unknown task kind"),
+        # ids are written unquoted into schedule.csv and episode_log.csv
+        ("board 2 2\nagents 1 1\ntask a,b E 1 0 0\n", "line 3: task id 'a,b'"),
+        ('board 2 2\nagents 1 1\ntask a"b E 1 0 0\n', "line 3: task id 'a\"b'"),
         ("board 2 2\nagents 1 1\ntask a E x 0 0\n", "expected an integer"),
         ("board 2 2\nagents 1 1\nwidget a\n", "unknown directive"),
         ("board 2 2\nagents 1 1\n", "at least one task"),

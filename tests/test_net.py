@@ -366,6 +366,16 @@ def test_checkpoint_non_numeric_and_duplicates():
     assert err.value.kind == "corrupt"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values(value):
+    params = small_params()
+    params["value_b"] = np.array([float(value)])
+    text = dumps_checkpoint(params)
+    assert f"tensor value_b 1\n{value}\n" in text
+    with pytest.raises(CheckpointError, match="value_b"):
+        loads_checkpoint(text)
+
+
 def test_net_evaluator_interface_and_cache():
     spec = parse_jobspec(TINY_TEXT)
     state = initial_state(spec)

@@ -26,6 +26,7 @@ from hrcsched import (
     transition,
 )
 
+from test_baselines import reference_search
 from test_board import ReferenceBoard, reference_cascade
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -131,3 +132,11 @@ def test_oracle_optimum_bounds_every_episode(job, seed):
     for k in range(5):
         _, makespan = random_episode(spec, strict, seed + k)
         assert result.optimal_makespan <= makespan
+
+
+@settings(PROPERTY, max_examples=100)
+@given(jobs(max_tasks=5, max_agents=3), st.integers(1, 3_000))
+def test_oracle_matches_plain_iterative_deepening_under_any_budget(job, budget):
+    spec, strict = job
+    expected = reference_search(spec, node_budget=budget, strict=strict)
+    assert exhaustive_search(spec, node_budget=budget, strict=strict) == expected
