@@ -30,7 +30,6 @@ from .game import (
     GameError,
     NOOP,
     episode_log_csv,
-    initial_state,
     legal_actions,
     noop_stalls,
     play,
@@ -159,7 +158,7 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _make_evaluator(args, spec: JobSpec, seed: int, strict: bool) -> NetEvaluator:
+def _make_evaluator(args, spec: JobSpec, seed: int) -> NetEvaluator:
     """Network evaluator from a checkpoint, or freshly seeded weights."""
     if args.checkpoint is None:
         params = init_params(spec.height, spec.width, seed=seed)
@@ -170,12 +169,10 @@ def _make_evaluator(args, spec: JobSpec, seed: int, strict: bool) -> NetEvaluato
             raise _CliError(4, f"cannot read checkpoint: {exc}")
         except CheckpointError as exc:
             raise _CliError(4, f"bad checkpoint: {exc}")
-    evaluator = NetEvaluator(params, spec.height, spec.width)
     try:
-        evaluator(initial_state(spec, strict=strict))
-    except (CheckpointError, ValueError) as exc:
+        return NetEvaluator(params, spec.height, spec.width)
+    except CheckpointError as exc:
         raise _CliError(4, f"checkpoint does not fit this job: {exc}")
-    return evaluator
 
 
 def _write(out_dir, name: str, text: str | None = None) -> None:
@@ -193,7 +190,7 @@ def _write(out_dir, name: str, text: str | None = None) -> None:
 
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
-    evaluator = _make_evaluator(args, spec, seed, strict)
+    evaluator = _make_evaluator(args, spec, seed)
     record = play(spec, search_chooser(evaluator, config), seed=seed, strict=strict)
     _write(args.out, "schedule.csv", schedule_csv(record))
     _write(args.out, "episode_log.csv", episode_log_csv(record))
@@ -326,7 +323,7 @@ def _prompt_human(state, agent, out):
 
 def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
-    robots = search_chooser(_make_evaluator(args, spec, seed, strict), config)
+    robots = search_chooser(_make_evaluator(args, spec, seed), config)
     _write(args.out, "schedule.csv")  # fail before the operator plays, not after
     out = sys.stdout
     stopped = False

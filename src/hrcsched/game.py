@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .board import Board, cascade
-from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec
+from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, check_task_id
 
 
 class GameError(Exception):
@@ -100,6 +100,8 @@ class JobContext:
             + [Agent("R", i + 1) for i in range(spec.robots)]
         )
         tasks = spec.tasks
+        for t in tasks:  # a spec built in code has not met the parser
+            check_task_id(t.id)
         job.tasks = {t.id: t for t in tasks}
         start = Board.from_spec(spec)
         job.width, job.height, job.ids, job.index = spec.width, spec.height, start.ids, start.index

@@ -72,6 +72,13 @@ class JobSpec:
         return sum(t.duration for t in self.tasks)
 
 
+def check_task_id(task_id: str, line=None) -> None:
+    """Schedules and logs write task ids into CSV fields unquoted, so an id
+    may not contain ',' or '"'."""
+    if "," in task_id or '"' in task_id:
+        raise JobSpecError(f"task id {task_id!r} may not contain ',' or '\"'", line)
+
+
 def _validate(spec: JobSpec) -> None:
     if spec.width < 1 or spec.height < 1:
         raise JobSpecError(f"board must be at least 1x1, got {spec.width}x{spec.height}")
@@ -158,8 +165,7 @@ def parse_jobspec(text: str) -> JobSpec:
                     "expected: task <id> <H|R|E> <duration> <col> <row> [span]", lineno
                 )
             tid, kind = fields[1], fields[2]
-            if "," in tid or '"' in tid:
-                raise JobSpecError(f"task id {tid!r} may not contain ',' or '\"'", lineno)
+            check_task_id(tid, lineno)
             if kind not in TASK_KINDS:
                 raise JobSpecError(f"unknown task kind {kind!r}", lineno)
             duration, col, row = _ints(fields[3:6], lineno)

@@ -124,27 +124,38 @@ def _conv_layers_of(names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Valid 2x2 convolution, one matmul per kernel offset: the input cells
-    under that offset, one row per output cell, times its weights."""
+def _conv_weights(w: np.ndarray) -> np.ndarray:
+    """A kernel ``(f, 2, 2, ch)`` laid out ``(ch, 4f)`` for ``_conv2d``: the
+    weights of offset (di, dj) fill columns ``(2 di + dj) f`` onwards."""
+    f, _, _, ch = w.shape
+    return w.transpose(3, 1, 2, 0).reshape(ch, KERNEL * KERNEL * f)
+
+
+def _conv2d(x: np.ndarray, wmat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Valid 2x2 convolution with weights laid out by ``_conv_weights``.
+
+    One matmul takes every input cell times the weights of all four kernel
+    offsets. Each output cell then adds the products of the four cells
+    under the kernel, offsets in the order (0, 0), (0, 1), (1, 0), (1, 1),
+    and the bias last: the same sums in the same order as one matmul per
+    offset, so the result is the same bit for bit.
+    """
     bsz, h, wd, ch = x.shape
-    oh, ow = h - KERNEL + 1, wd - KERNEL + 1
-    out = x[:, :oh, :ow, :].reshape(-1, ch) @ w[:, 0, 0, :].T
-    for di in range(KERNEL):
-        for dj in range(KERNEL):
-            if di or dj:  # offset (0, 0) started the sum
-                out += x[:, di : di + oh, dj : dj + ow, :].reshape(-1, ch) @ w[:, di, dj, :].T
+    y = (x.reshape(-1, ch) @ wmat).reshape(bsz, h, wd, KERNEL * KERNEL, -1)
+    out = y[:, :-1, :-1, 0] + y[:, :-1, 1:, 1]
+    out += y[:, 1:, :-1, 2]
+    out += y[:, 1:, 1:, 3]
     out += b
-    return out.reshape(bsz, oh, ow, w.shape[0])
+    return out
 
 
 def _maxpool(x: np.ndarray) -> np.ndarray:
-    """Each window's maximum; rows and columns beyond the last whole window
-    are dropped."""
-    bsz, h, w, f = x.shape
-    h2, w2 = h // POOL, w // POOL
-    crop = x[:, : h2 * POOL, : w2 * POOL, :]
-    return crop.reshape(bsz, h2, POOL, w2, POOL, f).max(axis=(2, 4))
+    """Each 2x2 window's maximum, as the elementwise maximum of the four
+    strided views of the window's cells; rows and columns beyond the last
+    whole window are dropped."""
+    h, w = x.shape[1] // POOL * POOL, x.shape[2] // POOL * POOL
+    top = np.maximum(x[:, 0:h:POOL, 0:w:POOL], x[:, 0:h:POOL, 1:w:POOL])
+    return np.maximum(top, np.maximum(x[:, 1:h:POOL, 0:w:POOL], x[:, 1:h:POOL, 1:w:POOL]))
 
 
 def _maxpool_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,49 +182,74 @@ def _maxpool_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
-    """Shared forward pass. Returns (p, raw v, cache for backprop)."""
-    if x.ndim != 4:
-        raise ValueError("expected a batch of rank-3 inputs")
-    cache: dict = {"x": x, "blocks": []}
-    a = x
-    for i in _conv_layers(params):
-        w, b = params[f"conv{i}_w"], params[f"conv{i}_b"]
-        if a.shape[1] < KERNEL or a.shape[2] < KERNEL:
-            raise CheckpointError(
-                f"input {a.shape[1]}x{a.shape[2]} too small for conv{i}", kind="shape"
-            )
-        if a.shape[3] != w.shape[3]:
-            raise CheckpointError(
-                f"conv{i} expects {w.shape[3]} channels, got {a.shape[3]}", kind="shape"
-            )
-        z = _conv2d(a, w, b)
-        relu = np.maximum(z, 0.0)
-        block = {"a_in": a, "z": z}
-        if relu.shape[1] >= POOL and relu.shape[2] >= POOL:
-            block.update(relu=relu, pooled=True)
-            a = _maxpool(relu)
-        else:
-            block["pooled"] = False
-            a = relu
-        cache["blocks"].append(block)
+def _prepare(params: dict[str, np.ndarray], height: int, width: int, channels: int):
+    """Check ``params`` against inputs of height x width x channels and lay
+    the conv kernels out for ``_conv2d``.
 
-    flat = a.reshape(a.shape[0], -1)
-    dense_w, dense_b = params["dense_w"], params["dense_b"]
-    if flat.shape[1] != dense_w.shape[0]:
+    Returns the net ``_forward`` runs: a (weights, bias, pool-after) triple
+    per conv layer, then the dense, policy and value weights and biases.
+    """
+    layers = []
+    h, w, ch = height, width, channels
+    for i in _conv_layers(params):
+        kernel, bias = params[f"conv{i}_w"], params[f"conv{i}_b"]
+        if h < KERNEL or w < KERNEL:
+            raise CheckpointError(f"input {h}x{w} too small for conv{i}", kind="shape")
+        if ch != kernel.shape[3]:
+            raise CheckpointError(
+                f"conv{i} expects {kernel.shape[3]} channels, got {ch}", kind="shape"
+            )
+        h, w, ch = h - KERNEL + 1, w - KERNEL + 1, kernel.shape[0]
+        pooled = h >= POOL and w >= POOL
+        if pooled:
+            h, w = h // POOL, w // POOL
+        layers.append((_conv_weights(kernel), bias, pooled))
+    dense_w = params["dense_w"]
+    if h * w * ch != dense_w.shape[0]:
         raise CheckpointError(
-            f"flattened size {flat.shape[1]} does not match dense layer {dense_w.shape[0]}",
+            f"flattened size {h * w * ch} does not match dense layer {dense_w.shape[0]}",
             kind="shape",
         )
-    z1 = flat @ dense_w + dense_b
-    h1 = np.maximum(z1, 0.0)
-    logits = h1 @ params["policy_w"] + params["policy_b"]
+    return (
+        tuple(layers), dense_w, params["dense_b"], params["policy_w"], params["policy_b"],
+        params["value_w"], params["value_b"],
+    )
+
+
+def _forward(net, x: np.ndarray):
+    """The forward pass of a prepared net over a batch of inputs.
+
+    Returns (p, raw v, what backprop needs). The last is a tuple: the
+    input, ReLU output and pool-after flag of each conv layer, the shape of
+    the last conv block's output, the flattened features, the dense layer's
+    ReLU output and the policy's log-probabilities. Training and
+    ``NetEvaluator`` both run this one routine.
+    """
+    layers, dense_w, dense_b, policy_w, policy_b, value_w, value_b = net
+    blocks = []
+    a = x
+    for wmat, b, pooled in layers:
+        relu = _conv2d(a, wmat, b)
+        np.maximum(relu, 0.0, out=relu)
+        blocks.append((a, relu, pooled))
+        a = _maxpool(relu) if pooled else relu
+    flat = a.reshape(a.shape[0], -1)
+    h1 = np.maximum(flat @ dense_w + dense_b, 0.0)
+    logits = h1 @ policy_w + policy_b
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     p = np.exp(log_p)
-    v = (h1 @ params["value_w"] + params["value_b"])[:, 0]
-    cache.update(conv_out_shape=a.shape, flat=flat, z1=z1, h1=h1, p=p, log_p=log_p, v=v)
-    return p, v, cache
+    v = (h1 @ value_w + value_b)[:, 0]
+    return p, v, (blocks, a.shape, flat, h1, log_p)
+
+
+def _forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
+    """``_forward`` with the net prepared for this call, since training
+    changes the weights at every step. Returns (p, raw v, what backprop
+    needs)."""
+    if x.ndim != 4:
+        raise ValueError("expected a batch of rank-3 inputs")
+    return _forward(_prepare(params, *x.shape[1:]), x)
 
 
 def forward(params: dict[str, np.ndarray], x: np.ndarray) -> PolicyValue:
@@ -232,13 +268,14 @@ def _stack(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _batch_loss(params, batch, l2: float):
     """Forward pass over a minibatch. Returns (total loss, mean policy
     cross-entropy, mean value squared error) and what backprop needs:
-    (target policies, target values, p, raw v, forward cache)."""
+    (target policies, target values, p, raw v, forward intermediates)."""
     xs, pis, zs = _stack(batch)
-    p, v, cache = _forward_batch(params, xs)
-    ce = float(-(pis * cache["log_p"]).sum(axis=1).mean())
+    p, v, saved = _forward_batch(params, xs)
+    log_p = saved[-1]
+    ce = float(-(pis * log_p).sum(axis=1).mean())
     mse = float(((zs - v) ** 2).mean())
     reg = l2 * sum(float((t * t).sum()) for t in params.values())
-    return (ce + mse + reg, ce, mse), (pis, zs, p, v, cache)
+    return (ce + mse + reg, ce, mse), (pis, zs, p, v, saved)
 
 
 def loss_components(params, batch, l2: float = 1e-4) -> tuple[float, float, float]:
@@ -252,11 +289,11 @@ def loss(params, batch, l2: float = 1e-4) -> float:
 
 def loss_and_gradients(params, batch, l2: float = 1e-4):
     """Analytic gradients of the combined loss for one minibatch."""
-    (total, ce, mse), (pis, zs, p, v, cache) = _batch_loss(params, batch, l2)
+    (total, ce, mse), (pis, zs, p, v, saved) = _batch_loss(params, batch, l2)
+    blocks, conv_out_shape, flat, h1, _ = saved
     bsz = len(zs)
 
     grads = {k: np.zeros_like(t) for k, t in params.items()}
-    h1 = cache["h1"]
 
     dlogits = (p - pis) / bsz
     grads["policy_w"] = h1.T @ dlogits
@@ -266,21 +303,20 @@ def loss_and_gradients(params, batch, l2: float = 1e-4):
     grads["value_b"] = dv.sum(axis=0)
 
     dh1 = dlogits @ params["policy_w"].T + dv @ params["value_w"].T
-    dz1 = dh1 * (cache["z1"] > 0)
-    grads["dense_w"] = cache["flat"].T @ dz1
+    dz1 = dh1 * (h1 > 0)
+    grads["dense_w"] = flat.T @ dz1
     grads["dense_b"] = dz1.sum(axis=0)
 
-    da = (dz1 @ params["dense_w"].T).reshape(cache["conv_out_shape"])
+    da = (dz1 @ params["dense_w"].T).reshape(conv_out_shape)
     for i in reversed(_conv_layers(params)):
-        block = cache["blocks"][i]
-        if block["pooled"]:
-            da = _maxpool_backward(da, block["relu"])
-        dz = da * (block["z"] > 0)
+        a_in, relu, pooled = blocks[i]
+        if pooled:
+            da = _maxpool_backward(da, relu)
+        dz = da * (relu > 0)
         w = params[f"conv{i}_w"]
-        a_in = block["a_in"]
         oh, ow, f = dz.shape[1:]
         ch = a_in.shape[3]
-        dz_rows = dz.reshape(-1, f)  # one row per output cell, as in _conv2d
+        dz_rows = dz.reshape(-1, f)  # one row per output cell
         dw = np.zeros_like(w)
         da_in = np.zeros_like(a_in)
         for di in range(KERNEL):
@@ -461,15 +497,20 @@ def network_width(params: dict[str, np.ndarray]) -> int:
 class NetEvaluator:
     """Adapter giving the search (column priors, value) for a state.
 
+    The weights are checked against the input size and the conv kernels
+    laid out once, here, so ``params`` must not change while the evaluator
+    is in use. Each evaluation only encodes the state and runs the forward
+    pass; its result equals ``forward``'s bit for bit.
+
     Evaluations are cached per job and board layout: the encoding only sees
     which stones remain and where, so states differing in clocks or
     remaining times share one forward pass.
     """
 
     def __init__(self, params, height: int, width: int):
-        self.params = params
         self.height = height
         self.width = width
+        self._net = _prepare(params, height, width, len(CHANNEL_OF_KIND))
         self._cache: dict = {}
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
@@ -479,8 +520,8 @@ class NetEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = forward(self.params, encode_state(state, self.height, self.width))
-        result = self._cache[key] = (out.p, out.v)
+        p, v, _ = _forward(self._net, encode_state(state, self.height, self.width)[None])
+        result = self._cache[key] = (p[0], float(min(v[0], 0.0)))
         return result
 
 

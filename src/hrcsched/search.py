@@ -133,7 +133,9 @@ def expand_and_evaluate(node: SearchNode, evaluator) -> float:
 
     picks = actions[:-1]  # legal_actions lists the picks, then NoOp
     if picks:
-        cols = [state.job.tasks[a.task].col for a in picks]
+        job = state.job
+        col, index = job.col, job.index
+        cols = [col[index[a.task]] for a in picks]
         weights = masked_priors(p, cols).tolist()
         weights.append(NOOP_PRIOR)
         total = sum(weights)
@@ -217,28 +219,30 @@ class SearchTree:
         return node.depth - self.root.depth >= self.config.max_depth
 
     def _simulate(self) -> None:
-        cfg = self.config
+        c_puct = self.config.c_puct
+        has_cap = self.config.max_depth is not None
         node = self.root
         path: list[tuple[SearchNode, Edge]] = []
+        capped = False
 
         while node.edges:  # expanded and not terminal
-            edge = select_edge(node, cfg.c_puct)
+            edge = select_edge(node, c_puct)
             path.append((node, edge))
             node = _child(node, edge)
             if node.terminal or node.stalled:
                 break
-            if self._depth_capped(node):
+            if has_cap and self._depth_capped(node):
+                capped = True
                 break
 
-        leaf_value = self._evaluate_leaf(node)
-        backup(path, leaf_value)
+        backup(path, self._evaluate_leaf(node, capped))
 
-    def _evaluate_leaf(self, node: SearchNode) -> float:
+    def _evaluate_leaf(self, node: SearchNode, capped: bool) -> float:
         if node.terminal:
             return 0.0
         if node.stalled:
             return _stall_value(node.state)
-        if self._depth_capped(node):
+        if capped:
             # depth-capped leaf: evaluated by the network, never expanded
             if node.cached_value is None:
                 _, value = self.evaluator(node.state)

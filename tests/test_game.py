@@ -8,7 +8,10 @@ from hrcsched import (
     DeadlockError,
     GameError,
     IllegalActionError,
+    JobSpec,
+    JobSpecError,
     NOOP,
+    Task,
     desk_fixture,
     episode_log_csv,
     initial_state,
@@ -320,3 +323,11 @@ def test_transition_leaves_its_input_untouched():
         assert snapshot(state) == before
         state = nxt
     assert advanced and state.clock == 2
+
+
+@pytest.mark.parametrize("task_id", ["a,b", 'a"b'])
+def test_code_built_job_meets_the_task_id_rule(task_id):
+    # the parser never sees a JobSpec built in code, so play checks its ids
+    spec = JobSpec(1, 1, 1, 0, (Task(task_id, "H", 1, 0, 0),))
+    with pytest.raises(JobSpecError, match="may not contain"):
+        run_episode(spec, first_pick)

@@ -9,6 +9,7 @@ from hrcsched import (
     NetEvaluator,
     TrainingExample,
     UniformEvaluator,
+    desk_fixture,
     dumps_checkpoint,
     encode_state,
     forward,
@@ -19,11 +20,20 @@ from hrcsched import (
     loads_checkpoint,
     loss,
     parse_jobspec,
+    run_episode,
     save_checkpoint,
     sgd_step,
     transition,
 )
-from hrcsched.net import KERNEL, POOL, _conv2d, _maxpool, network_width, plan_blocks
+from hrcsched.net import (
+    KERNEL,
+    POOL,
+    _conv2d,
+    _conv_weights,
+    _maxpool,
+    network_width,
+    plan_blocks,
+)
 
 from conftest import TINY_TEXT
 
@@ -149,6 +159,29 @@ def reference_maxpool(x):
     return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
 
+def four_offset_conv2d(x, w, b):
+    """Valid 2x2 convolution as one matmul per kernel offset, offsets summed
+    in the order (0, 0), (0, 1), (1, 0), (1, 1), then the bias: the sums
+    ``_conv2d`` must reproduce bit for bit."""
+    bsz, h, wd, ch = x.shape
+    oh, ow = h - KERNEL + 1, wd - KERNEL + 1
+    out = x[:, :oh, :ow, :].reshape(-1, ch) @ w[:, 0, 0, :].T
+    for di in range(KERNEL):
+        for dj in range(KERNEL):
+            if di or dj:
+                out += x[:, di : di + oh, dj : dj + ow, :].reshape(-1, ch) @ w[:, di, dj, :].T
+    out += b
+    return out.reshape(bsz, oh, ow, w.shape[0])
+
+
+def reshape_max_pool(x):
+    """Each window's maximum, by a reshape and a reduction."""
+    bsz, h, w, f = x.shape
+    h2, w2 = h // POOL, w // POOL
+    crop = x[:, : h2 * POOL, : w2 * POOL, :]
+    return crop.reshape(bsz, h2, POOL, w2, POOL, f).max(axis=(2, 4))
+
+
 # (batch, height, width, in channels, filters): the desk layers at batch 1
 # and 32, then tiny boards
 CONV_SHAPES = [
@@ -162,27 +195,50 @@ CONV_SHAPES = [
 ]
 
 
+def random_conv_case(rng, shape):
+    bsz, h, w, ch, f = shape
+    x = rng.standard_normal((bsz, h, w, ch))
+    weights = rng.standard_normal((f, KERNEL, KERNEL, ch))
+    return x, weights, rng.standard_normal(f)
+
+
 @pytest.mark.parametrize("shape", CONV_SHAPES)
 def test_conv2d_matches_einsum_reference(shape):
-    bsz, h, w, ch, f = shape
+    bsz, h, w, _, f = shape
     rng = np.random.default_rng(sum(shape))
     for _ in range(5):
-        x = rng.standard_normal((bsz, h, w, ch))
-        weights = rng.standard_normal((f, KERNEL, KERNEL, ch))
-        bias = rng.standard_normal(f)
-        got = _conv2d(x, weights, bias)
+        x, weights, bias = random_conv_case(rng, shape)
+        got = _conv2d(x, _conv_weights(weights), bias)
         want = reference_conv2d(x, weights, bias)
         assert got.shape == want.shape == (bsz, h - 1, w - 1, f)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("shape", [(1, 14, 7, 10), (1, 6, 2, 10), (32, 14, 7, 10), (3, 3, 2, 4), (2, 5, 5, 1)])
+# With one filter the four-offset reference's (cells x ch) @ (ch x 1)
+# products take BLAS's matrix-vector path, which sums in another order
+# than the matrix-matrix path of _conv2d, so the last bits may differ
+# there; the einsum test above covers that shape.
+@pytest.mark.parametrize("shape", [s for s in CONV_SHAPES if s[4] >= 2])
+def test_conv2d_equals_four_offset_sums_exactly(shape):
+    rng = np.random.default_rng(sum(shape) + 1)
+    for _ in range(5):
+        x, weights, bias = random_conv_case(rng, shape)
+        got = _conv2d(x, _conv_weights(weights), bias)
+        assert np.array_equal(got, four_offset_conv2d(x, weights, bias))
+
+
+POOL_SHAPES = [(1, 14, 7, 10), (1, 6, 2, 10), (32, 14, 7, 10), (3, 3, 2, 4), (2, 5, 5, 1)]
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
 def test_maxpool_equals_argmax_reference_exactly(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(5):
         # a ReLU output: many exact zeros, so windows often tie
         x = np.maximum(rng.standard_normal(shape), 0.0)
-        assert np.array_equal(_maxpool(x), reference_maxpool(x))
+        got = _maxpool(x)
+        assert np.array_equal(got, reference_maxpool(x))
+        assert np.array_equal(got, reshape_max_pool(x))
 
 
 def test_gradient_check_against_finite_differences():
@@ -406,6 +462,35 @@ def test_net_evaluator_interface_and_cache():
     assert sorted(floating.board.stones) == sorted(moved.board.stones)
     ev(floating)
     assert len(ev._cache) == 3
+
+
+def random_pick(state, agent, actions, rng):
+    picks = actions[:-1]  # legal_actions lists the picks, then NoOp
+    return picks[rng.integers(len(picks))] if picks else NOOP
+
+
+def with_random_biases(params, seed):
+    rng = np.random.default_rng(seed)
+    return {k: rng.standard_normal(t.shape) if k.endswith("_b") else t for k, t in params.items()}
+
+
+@pytest.mark.parametrize("weights_seed", [0, 1])
+def test_evaluator_miss_equals_forward_exactly(weights_seed):
+    desk = desk_fixture()
+    tiny = parse_jobspec(TINY_TEXT)
+    cases = [(desk, s) for s in range(6)] + [(tiny, s) for s in range(3)]
+    for size in [(desk.height, desk.width), (tiny.height, tiny.width)]:
+        params = with_random_biases(init_params(*size, seed=weights_seed), weights_seed + 10)
+        for spec, seed in cases:
+            if spec.height > size[0]:
+                continue  # the desk does not fit the tiny net's input
+            record = run_episode(spec, random_pick, seed=seed)
+            ev = NetEvaluator(params, *size)
+            for decision in record.decisions:
+                p, v = ev(decision.state)
+                want = forward(params, encode_state(decision.state, *size))
+                assert np.array_equal(p, want.p)
+                assert v == want.v
 
 
 def test_uniform_evaluator():
