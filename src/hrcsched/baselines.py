@@ -15,12 +15,13 @@ finish times sit in two lists. Every child of a node is built by one rule,
 the arithmetic of the agent's move and, when the move closes the epoch, of
 the earliest finish. A pick's child gets its own copy of the layout, on
 which ``board.cascade``, the gravity routine the game itself uses, removes
-the stone. On a pass's last level each child is still one visit checked
-against the budget, and is counted as finished, stalled or on the
-frontier, but not expanded. A layout with floating stones settles on a
-route's first pick, as it does in play. The oracle keeps this scan and
-arithmetic of its own rather than stepping with ``legal_actions`` and
-``transition``, which gives the same results at half the speed.
+the stone, so the layout alone records what was taken this epoch. On a
+pass's last level each child is still one visit checked against the
+budget, and is counted as finished, stalled or on the frontier, but not
+expanded. A layout with floating stones settles on a route's first pick,
+as it does in play. The oracle keeps this scan and arithmetic of its own
+rather than stepping with ``legal_actions`` and ``transition``, which
+gives the same results at half the speed.
 
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.
@@ -105,17 +106,16 @@ def exhaustive_search(
             best_clock = clock
             best_route = [(labels[a], ids[t] if t >= 0 else None) for a, t in stack]
 
-    def expand(depth, grid, row, idle, declined, taken, completed, clock):
+    def expand(depth, grid, row, idle, declined, completed, clock):
         """Visit the children of a live node on layout ``grid``/``row``.
 
-        ``idle`` and ``declined`` are agent masks, ``taken`` and
-        ``completed`` task masks; busy agents' tasks sit in ``doing`` and
-        ``finish``."""
+        ``idle`` and ``declined`` are agent masks, ``completed`` a task
+        mask; busy agents' tasks sit in ``doing`` and ``finish``."""
         nonlocal visits, frontier
         pend = idle & ~declined
         bit = pend & -pend
         agent = bit.bit_length() - 1
-        allowed = ok[agent] & ~taken
+        allowed = ok[agent]
         moves = []
         last = -1
         for t in grid[:w]:
@@ -146,25 +146,25 @@ def exhaustive_search(
             nodes[depth] += 1
             if t < 0:
                 if not closes:
-                    child = (idle, declined | bit, taken, completed, clock)
+                    child = (idle, declined | bit, completed, clock)
                 elif soon == inf:
                     continue  # stalled: every agent idle and declined
                 else:
-                    child = (idle | soon_agents, 0, 0, completed | soon_tasks, soon)
+                    child = (idle | soon_agents, 0, completed | soon_tasks, soon)
             else:
                 at = clock + dur[t]
                 doing[agent], finish[agent] = 1 << t, at
                 if not closes:
-                    child = (idle ^ bit, declined, taken | 1 << t, completed, clock)
+                    child = (idle ^ bit, declined, completed, clock)
                 elif at < soon:
-                    child = (idle, 0, 0, completed | 1 << t, at)
+                    child = (idle, 0, completed | 1 << t, at)
                 elif at == soon:
-                    child = (idle | soon_agents, 0, 0, completed | soon_tasks | 1 << t, at)
+                    child = (idle | soon_agents, 0, completed | soon_tasks | 1 << t, at)
                 else:
-                    child = (idle ^ bit | soon_agents, 0, 0, completed | soon_tasks, soon)
+                    child = (idle ^ bit | soon_agents, 0, completed | soon_tasks, soon)
             stack.append((agent, t))
-            if child[3] == full:
-                leaf(depth, child[4])
+            if child[2] == full:
+                leaf(depth, child[3])
             else:
                 routes[depth] += 1
                 if final:
@@ -193,7 +193,7 @@ def exhaustive_search(
                 leaf(0, 0)
             elif everyone:
                 routes[0] += 1
-                expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0, 0)
+                expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
         except _BudgetStop:
             return OracleResult(
                 status=BUDGET_EXCEEDED,

@@ -165,6 +165,8 @@ class Board:
         board.rows = [t.row for t in tasks]
         cells = board.cells = [-1] * (width * spec.height)
         for i, t in enumerate(tasks):
+            if not (0 <= t.row < board.height and t.span >= 1 and 0 <= t.col <= width - t.span):
+                raise BoardError(f"task {t.id!r} lies outside the board")
             base = t.row * width
             for c in range(t.col, t.col + t.span):
                 if cells[base + c] >= 0:

@@ -20,14 +20,16 @@ changes: columns, spans, durations, each agent's compatible tasks and each
 task's direct predecessors as bitmasks, and the initial layout. A
 ``GameState`` holds the layout as ``board.py`` defines it (``cells`` and
 ``rows``), each agent's task index (-1 when idle) and finish clock, the
-clock, bitmasks of the completed tasks, the tasks taken and the agents
-that declined this epoch, and the index of the agent to act next (-1 once
-the epoch is closed). The rules and every caller read these fields
-directly; ``board`` is a ``Board`` view of the layout, built on each
-access. ``transition`` is the one step function: it acts for the pending
-agent and closes the epoch when that agent was the last to act. States
-are never changed once made: a pick copies its state's lists once, and a
-decline shares the layout with the state it came from.
+clock, a bitmask of the completed tasks, and the index of the agent to act
+next (-1 once the epoch is closed). Nothing else is stored, because the
+rest follows: a stone taken this epoch has left the layout, and the
+agents that declined this epoch are the idle ones before the pending
+agent. The rules and every caller read these fields directly; ``board``
+is a ``Board`` view of the layout, built on each access. ``transition``
+is the one step function: it acts for the pending agent and closes the
+epoch when that agent was the last to act. States are never changed once
+made: a pick copies its state's lists once, and a decline shares the
+layout with the state it came from.
 """
 
 from __future__ import annotations
@@ -130,9 +132,6 @@ class JobContext:
         job.pred = tuple(pred)
         return job
 
-    def total_duration(self) -> int:
-        return self.spec.total_duration()
-
 
 @dataclass(slots=True)
 class GameState:
@@ -144,16 +143,16 @@ class GameState:
     doing: list[int]  # task index per agent, -1 when idle
     finish: list[int]  # clock at which each busy agent's task completes
     clock: int
+    # unlike the tasks taken and the agents declined this epoch, these two
+    # follow from nothing else: the layout cannot tell a finished task from
+    # one in progress, and no other field records whose turn it is
     completed_mask: int
-    # epoch bookkeeping, reset when time advances
-    taken_mask: int
-    declined_mask: int
     pending: int  # the agent to act next, -1 once the epoch is closed
 
     def copy(self) -> "GameState":
         return GameState(
             self.job, self.cells[:], self.rows[:], self.doing[:], self.finish[:], self.clock,
-            self.completed_mask, self.taken_mask, self.declined_mask, self.pending,
+            self.completed_mask, self.pending,
         )
 
     @property
@@ -182,7 +181,7 @@ def initial_state(spec: JobSpec, strict: bool = True) -> GameState:
         job = _last_context = JobContext.build(spec, strict=strict)
     agents = len(job.roster)
     return GameState(
-        job, list(job.cells), list(job.rows), [-1] * agents, [0] * agents, 0, 0, 0, 0,
+        job, list(job.cells), list(job.rows), [-1] * agents, [0] * agents, 0, 0,
         0 if agents else -1,
     )
 
@@ -202,9 +201,10 @@ def is_stalled(state: GameState) -> bool:
     return state.pending < 0 and max(state.doing) < 0 and not is_terminal(state)
 
 
-def _first_idle(doing: list[int], declined: int) -> int:
-    for i, t in enumerate(doing):
-        if t < 0 and not declined >> i & 1:
+def _first_idle(doing: list[int], start: int) -> int:
+    """The first idle agent from ``start`` on, or -1."""
+    for i in range(start, len(doing)):
+        if doing[i] < 0:
             return i
     return -1
 
@@ -212,9 +212,9 @@ def _first_idle(doing: list[int], declined: int) -> int:
 def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     """Picks available to an idle agent, plus NoOp, which is always allowed.
 
-    A bottom-row stone is pickable when its kind matches the agent, it was
-    not already taken this epoch, and (strict mode only) every direct
-    predecessor has completed.
+    A bottom-row stone is pickable when its kind matches the agent and
+    (strict mode only) every direct predecessor has completed. A stone
+    taken earlier this epoch has already left the layout.
     """
     job = state.job
     roster = job.roster
@@ -225,7 +225,7 @@ def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
         p = roster.index(agent)
     if state.doing[p] >= 0:
         raise IllegalActionError(f"{agent} is busy and cannot act")
-    allowed = job.ok[p] & ~state.taken_mask
+    allowed = job.ok[p]
     pred, done, picks = job.pred, state.completed_mask, job.picks
     actions = []
     last = -1
@@ -255,20 +255,19 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
     if not isinstance(action, AgentAction):
         raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
     if action.task is None:
-        declined = state.declined_mask | 1 << p
         doing = state.doing
         # the layout is shared; doing and finish are copied so that an
         # epoch close can advance the new state in place
         nxt = GameState(
             job, state.cells, state.rows, doing[:], state.finish[:], state.clock,
-            state.completed_mask, state.taken_mask, declined, _first_idle(doing, declined),
+            state.completed_mask, _first_idle(doing, p + 1),
         )
     else:
         t = job.index.get(action.task)
         if (
             t is None
             or state.rows[t] != 0
-            or not (job.ok[p] & ~state.taken_mask) >> t & 1
+            or not job.ok[p] >> t & 1
             or job.pred[t] & ~state.completed_mask
         ):
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
@@ -276,8 +275,7 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         cascade(nxt.cells, nxt.rows, job.col, job.span, job.width, t, _settled(state))
         nxt.doing[p] = t
         nxt.finish[p] = state.clock + job.duration[t]
-        nxt.taken_mask |= 1 << t
-        nxt.pending = _first_idle(nxt.doing, nxt.declined_mask)
+        nxt.pending = _first_idle(nxt.doing, p + 1)
     doing, finish = nxt.doing, nxt.finish
     if nxt.pending >= 0 or max(doing) < 0:
         return nxt, 0, False
@@ -289,7 +287,6 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
             doing[i] = -1
     elapsed = soon - nxt.clock
     nxt.clock = soon
-    nxt.taken_mask = nxt.declined_mask = 0
     nxt.pending = _first_idle(doing, 0)
     return nxt, -elapsed, True
 
@@ -297,14 +294,14 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
 def noop_stalls(state: GameState) -> bool:
     """Whether the pending agent may not decline: nobody is busy and no agent
     still to act after it this epoch holds a legal pick, so the epoch could
-    only end with every agent idle."""
+    only end with every agent idle. With nobody busy, the agents still to
+    act are exactly those after the pending one."""
     if max(state.doing) >= 0:
         return False
     roster = state.job.roster
     return all(
         legal_actions(state, roster[i]) == [NOOP]
-        for i in range(len(roster))
-        if i != state.pending and not state.declined_mask >> i & 1
+        for i in range(state.pending + 1, len(roster))
     )
 
 

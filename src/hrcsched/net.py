@@ -159,26 +159,18 @@ def _maxpool(x: np.ndarray) -> np.ndarray:
 
 
 def _maxpool_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Route each window's gradient to the first maximum of ``x`` in it,
-    scanning the window row by row."""
-    bsz, h, w, f = x.shape
-    h2, w2 = h // POOL, w // POOL
-    crop = x[:, : h2 * POOL, : w2 * POOL, :]
-    win = (
-        crop.reshape(bsz, h2, POOL, w2, POOL, f)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(bsz, h2, w2, f, POOL * POOL)
-    )
-    idx = win.argmax(axis=-1)
-    dwin = np.zeros((bsz, h2, w2, f, POOL * POOL))
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    dcrop = (
-        dwin.reshape(bsz, h2, w2, f, POOL, POOL)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(bsz, h2 * POOL, w2 * POOL, f)
-    )
+    """Route each window's gradient to the first cell of ``x`` equal to the
+    window's maximum, visiting ``_maxpool``'s four strided views in
+    row-major order."""
+    h, w = x.shape[1] // POOL * POOL, x.shape[2] // POOL * POOL
+    top = _maxpool(x)
+    unrouted = np.ones(top.shape, dtype=bool)
     dx = np.zeros(x.shape)
-    dx[:, : h2 * POOL, : w2 * POOL, :] = dcrop
+    for di in range(POOL):
+        for dj in range(POOL):
+            hit = unrouted & (x[:, di:h:POOL, dj:w:POOL] == top)
+            dx[:, di:h:POOL, dj:w:POOL] = np.where(hit, dout, 0.0)
+            unrouted &= ~hit
     return dx
 
 

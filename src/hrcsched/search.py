@@ -55,7 +55,6 @@ class SearchNode:
     depth: int  # epochs advanced since the episode root; limits apply relative to the current root
     edges: list[Edge] | None = None  # None until expanded
     visits: int = 0
-    cached_value: float | None = None
     # the state's status, set once: a node's state is never mutated
     terminal: bool = field(init=False)
     stalled: bool = field(init=False)
@@ -172,7 +171,7 @@ def _child(node: SearchNode, edge: Edge) -> SearchNode:
 def _stall_value(state: GameState) -> float:
     # Strictly worse than any real completion, which costs at most the
     # serial sum of all durations.
-    return -2.0 * state.job.total_duration()
+    return -2.0 * state.job.spec.total_duration()
 
 
 class SearchTree:
@@ -244,10 +243,7 @@ class SearchTree:
             return _stall_value(node.state)
         if capped:
             # depth-capped leaf: evaluated by the network, never expanded
-            if node.cached_value is None:
-                _, value = self.evaluator(node.state)
-                node.cached_value = float(value)
-            return node.cached_value
+            return float(self.evaluator(node.state)[1])
         return expand_and_evaluate(node, self.evaluator)
 
     def advance_root(self, action: AgentAction) -> None:

@@ -25,6 +25,23 @@ def test_overlap_rejected_at_placement():
         Board.from_spec(JobSpec(2, 2, 1, 1, tasks))
 
 
+@pytest.mark.parametrize(
+    "stone",
+    [
+        Task("a", "E", 1, 1, 0, 2),  # wraps into the next row
+        Task("a", "E", 1, -1, 0),  # would land in the last cell
+        Task("a", "E", 1, 0, 2),  # past the top
+        Task("a", "E", 1, 0, -1),
+        Task("a", "E", 1, 0, 0, 0),
+    ],
+)
+def test_stone_outside_board_rejected_at_placement(stone):
+    # a JobSpec built in code skips the parser's bounds check
+    tasks = (stone, Task("b", "E", 1, 0, 1))
+    with pytest.raises(BoardError, match="'a' lies outside the board"):
+        Board.from_spec(JobSpec(2, 2, 1, 1, tasks))
+
+
 def test_bottom_row_tasks_order_and_dedupe():
     board = make_board(
         "board 4 1\nagents 1 1\n"

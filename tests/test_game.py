@@ -262,8 +262,6 @@ def snapshot(state):
         state.finish[:],
         state.clock,
         state.completed_mask,
-        state.taken_mask,
-        state.declined_mask,
         state.pending,
     )
 

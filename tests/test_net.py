@@ -31,6 +31,7 @@ from hrcsched.net import (
     _conv2d,
     _conv_weights,
     _maxpool,
+    _maxpool_backward,
     network_width,
     plan_blocks,
 )
@@ -159,6 +160,30 @@ def reference_maxpool(x):
     return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
 
+def reference_maxpool_backward(dout, x):
+    """Route each window's gradient to its argmax, the first maximum of
+    ``x`` in it scanning row by row."""
+    bsz, h, w, f = x.shape
+    h2, w2 = h // POOL, w // POOL
+    crop = x[:, : h2 * POOL, : w2 * POOL, :]
+    win = (
+        crop.reshape(bsz, h2, POOL, w2, POOL, f)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(bsz, h2, w2, f, POOL * POOL)
+    )
+    idx = win.argmax(axis=-1)
+    dwin = np.zeros((bsz, h2, w2, f, POOL * POOL))
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+    dcrop = (
+        dwin.reshape(bsz, h2, w2, f, POOL, POOL)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(bsz, h2 * POOL, w2 * POOL, f)
+    )
+    dx = np.zeros(x.shape)
+    dx[:, : h2 * POOL, : w2 * POOL, :] = dcrop
+    return dx
+
+
 def four_offset_conv2d(x, w, b):
     """Valid 2x2 convolution as one matmul per kernel offset, offsets summed
     in the order (0, 0), (0, 1), (1, 0), (1, 1), then the bias: the sums
@@ -239,6 +264,21 @@ def test_maxpool_equals_argmax_reference_exactly(shape):
         got = _maxpool(x)
         assert np.array_equal(got, reference_maxpool(x))
         assert np.array_equal(got, reshape_max_pool(x))
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
+def test_maxpool_backward_equals_argmax_reference_exactly(shape):
+    rng = np.random.default_rng(sum(shape) + 1)
+    cases = [
+        np.maximum(rng.standard_normal(shape), 0.0),  # ties at zero
+        rng.integers(-1, 2, shape).astype(float),  # ties at every value
+        np.zeros(shape),  # every window all zeros
+        rng.standard_normal(shape),
+    ]
+    for x in cases:
+        dout = rng.standard_normal(_maxpool(x).shape)
+        got = _maxpool_backward(dout, x)
+        assert np.array_equal(got, reference_maxpool_backward(dout, x))
 
 
 def test_gradient_check_against_finite_differences():

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from hrcsched import (
     COMPLETE,
+    HUMAN_ONLY,
+    NOOP,
+    ROBOT_ONLY,
     Board,
     JobContext,
     JobSpec,
@@ -20,11 +23,14 @@ from hrcsched import (
     derive_precedence,
     exhaustive_search,
     initial_state,
+    is_stalled,
     is_terminal,
     legal_actions,
     next_agent,
+    pick,
     transition,
 )
+from hrcsched.game import noop_stalls
 
 from test_baselines import reference_search
 from test_board import ReferenceBoard, reference_cascade
@@ -140,3 +146,61 @@ def test_oracle_matches_plain_iterative_deepening_under_any_budget(job, budget):
     spec, strict = job
     expected = reference_search(spec, node_budget=budget, strict=strict)
     assert exhaustive_search(spec, node_budget=budget, strict=strict) == expected
+
+
+def reference_turn(state, declined):
+    """The agent to act, by an explicit mask of the agents that declined
+    this epoch: the first idle agent not in it, or -1."""
+    for i, t in enumerate(state.doing):
+        if t < 0 and not declined >> i & 1:
+            return i
+    return -1
+
+
+def reference_legal(state, agent, taken):
+    """An idle agent's actions, by an explicit mask of the tasks taken this
+    epoch: the bottom-row stones of its kinds not in it whose direct
+    predecessors have completed, then NoOp."""
+    job = state.job
+    barred = ROBOT_ONLY if agent.is_human else HUMAN_ONLY
+    actions = []
+    for t in dict.fromkeys(state.cells[: job.width]):
+        if t < 0 or taken >> t & 1 or job.kinds[t] == barred:
+            continue
+        if not job.pred[t] & ~state.completed_mask:
+            actions.append(pick(job.ids[t]))
+    return actions + [NOOP]
+
+
+@PROPERTY
+@given(jobs(), st.integers(0, 2**32 - 1))
+def test_turns_and_picks_match_explicit_epoch_masks(job, seed):
+    # The state keeps no record of what was taken or declined this epoch;
+    # a replay that keeps both as masks must agree on every turn, every
+    # idle agent's actions and every stall, declines included.
+    spec, strict = job
+    rng = np.random.default_rng(seed)
+    state = initial_state(spec, strict=strict)
+    roster = state.job.roster
+    taken = declined = 0
+    while not is_terminal(state):
+        p = reference_turn(state, declined)
+        assert next_agent(state) == (roster[p] if p >= 0 else None)
+        idle = [i for i, t in enumerate(state.doing) if t < 0]
+        legal = {i: reference_legal(state, roster[i], taken) for i in idle}
+        for i in idle:
+            assert legal_actions(state, roster[i]) == legal[i]
+        if p < 0:
+            assert is_stalled(state)
+            break
+        later = [i for i in idle if i != p and not declined >> i & 1]
+        stalls = len(idle) == len(roster) and all(legal[i] == [NOOP] for i in later)
+        assert noop_stalls(state) == stalls
+        action = legal[p][int(rng.integers(len(legal[p])))]
+        state, _, advanced = transition(state, action)
+        if advanced:
+            taken = declined = 0
+        elif action.is_noop:
+            declined |= 1 << p
+        else:
+            taken |= 1 << state.job.index[action.task]

@@ -309,7 +309,7 @@ def test_advance_root_reuses_subtree():
 def test_advance_root_materialises_unexplored_child():
     tree = SearchTree(tiny_state(), UniformEvaluator(2))
     tree.advance_root(NOOP)
-    assert tree.root.state.declined_mask
+    assert tree.root.state.pending == 1  # H1 declined, so R1 acts
     with pytest.raises(ValueError):
         tree.advance_root(pick("Z"))
 
