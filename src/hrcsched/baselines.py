@@ -189,11 +189,8 @@ def exhaustive_search(
                 raise _BudgetStop
             visits += 1
             nodes[0] += 1
-            if not full:
-                leaf(0, 0)
-            elif everyone:
-                routes[0] += 1
-                expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
+            routes[0] += 1
+            expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
         except _BudgetStop:
             return OracleResult(
                 status=BUDGET_EXCEEDED,

@@ -153,6 +153,8 @@ class Board:
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
+        """The job's initial layout; a ``JobSpec`` has checked that its
+        stones lie on the board without overlapping."""
         board = cls.__new__(cls)
         width = board.width = spec.width
         board.height = spec.height
@@ -165,13 +167,8 @@ class Board:
         board.rows = [t.row for t in tasks]
         cells = board.cells = [-1] * (width * spec.height)
         for i, t in enumerate(tasks):
-            if not (0 <= t.row < board.height and t.span >= 1 and 0 <= t.col <= width - t.span):
-                raise BoardError(f"task {t.id!r} lies outside the board")
             base = t.row * width
-            for c in range(t.col, t.col + t.span):
-                if cells[base + c] >= 0:
-                    raise BoardError(f"cell ({t.row}, {c}) already occupied")
-                cells[base + c] = i
+            cells[base + t.col : base + t.col + t.span] = [i] * t.span
         board.settled = board.is_gravity_fixpoint()
         return board
 

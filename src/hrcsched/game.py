@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .board import Board, cascade
-from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, check_task_id
+from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec
 
 
 class GameError(Exception):
@@ -102,8 +102,6 @@ class JobContext:
             + [Agent("R", i + 1) for i in range(spec.robots)]
         )
         tasks = spec.tasks
-        for t in tasks:  # a spec built in code has not met the parser
-            check_task_id(t.id)
         job.tasks = {t.id: t for t in tasks}
         start = Board.from_spec(spec)
         job.width, job.height, job.ids, job.index = spec.width, spec.height, start.ids, start.index
@@ -180,10 +178,7 @@ def initial_state(spec: JobSpec, strict: bool = True) -> GameState:
     if job is None or job.spec is not spec or job.strict != strict:
         job = _last_context = JobContext.build(spec, strict=strict)
     agents = len(job.roster)
-    return GameState(
-        job, list(job.cells), list(job.rows), [-1] * agents, [0] * agents, 0, 0,
-        0 if agents else -1,
-    )
+    return GameState(job, list(job.cells), list(job.rows), [-1] * agents, [0] * agents, 0, 0, 0)
 
 
 def is_terminal(state: GameState) -> bool:

@@ -4,6 +4,9 @@ A job is a grid of task "stones". Columns group tasks that must run in
 sequence (lower rows first), rows group tasks that can run side by side.
 Each stone is doable by a human, a robot, or either one, lasts a whole
 number of time units, and covers one or more horizontally adjacent cells.
+
+A ``JobSpec`` checks all of this when it is made, parsed or built in code,
+so the board, the game and the oracle take a legal job for granted.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class JobSpec:
     robots: int
     tasks: tuple[Task, ...]
 
+    def __post_init__(self):
+        _validate(self)
+
     def task(self, task_id: str) -> Task:
         for t in self.tasks:
             if t.id == task_id:
@@ -73,10 +79,11 @@ class JobSpec:
 
 
 def check_task_id(task_id: str, line=None) -> None:
-    """Schedules and logs write task ids into CSV fields unquoted, so an id
-    may not contain ',' or '"'."""
-    if "," in task_id or '"' in task_id:
-        raise JobSpecError(f"task id {task_id!r} may not contain ',' or '\"'", line)
+    """An id is one token of the job format, as ``str.split`` cuts a line,
+    and an unquoted CSV field."""
+    if task_id.split() != [task_id] or "#" in task_id or "," in task_id or '"' in task_id:
+        message = f"task id {task_id!r} may not contain whitespace, '#', ',' or '\"', nor be empty"
+        raise JobSpecError(message, line)
 
 
 def _validate(spec: JobSpec) -> None:
@@ -93,12 +100,13 @@ def _validate(spec: JobSpec) -> None:
     if not spec.tasks:
         raise JobSpecError("at least one task is required")
 
-    seen: dict[str, Task] = {}
-    cells: dict[tuple[int, int], str] = {}
+    seen: set[str] = set()
+    cells: dict[int, str] = {}  # task id per occupied cell, row * width + col
     for t in spec.tasks:
+        check_task_id(t.id)
         if t.id in seen:
             raise JobSpecError(f"duplicate task id {t.id!r}")
-        seen[t.id] = t
+        seen.add(t.id)
         if t.kind not in TASK_KINDS:
             raise JobSpecError(f"task {t.id!r} has unknown kind {t.kind!r}")
         if t.duration < 1:
@@ -109,12 +117,13 @@ def _validate(spec: JobSpec) -> None:
             raise JobSpecError(f"task {t.id!r} row {t.row} outside the board")
         if t.col < 0 or t.col + t.span > spec.width:
             raise JobSpecError(f"task {t.id!r} columns outside the board")
-        for cell in t.cells():
-            if cell in cells:
+        base = t.row * spec.width
+        for c in t.columns():
+            other = cells.setdefault(base + c, t.id)
+            if other != t.id:
                 raise JobSpecError(
-                    f"task {t.id!r} overlaps task {cells[cell]!r} at row {cell[0]}, col {cell[1]}"
+                    f"task {t.id!r} overlaps task {other!r} at row {t.row}, col {c}"
                 )
-            cells[cell] = t.id
         if t.kind == HUMAN_ONLY and spec.humans == 0:
             raise JobSpecError(f"task {t.id!r} needs a human but the roster has none")
         if t.kind == ROBOT_ONLY and spec.robots == 0:
@@ -179,9 +188,7 @@ def parse_jobspec(text: str) -> JobSpec:
     if not agents_seen:
         raise JobSpecError("missing agents line")
 
-    spec = JobSpec(width, height, humans, robots, tuple(tasks))
-    _validate(spec)
-    return spec
+    return JobSpec(width, height, humans, robots, tuple(tasks))
 
 
 def _ints(fields, lineno):

@@ -15,7 +15,6 @@ and shapes alone, which keeps the checkpoint format flat.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -113,12 +112,7 @@ def init_params(
 
 
 def _conv_layers(params: dict[str, np.ndarray]) -> tuple[int, ...]:
-    return _conv_layers_of(tuple(params))
-
-
-@functools.lru_cache(maxsize=64)
-def _conv_layers_of(names: tuple[str, ...]) -> tuple[int, ...]:
-    indices = sorted(int(m.group(1)) for k in names if (m := re.fullmatch(r"conv(\d+)_w", k)))
+    indices = sorted(int(m.group(1)) for k in params if (m := re.fullmatch(r"conv(\d+)_w", k)))
     if indices != list(range(len(indices))):
         raise CheckpointError("convolution layers are not contiguous", kind="shape")
     return tuple(indices)
@@ -201,6 +195,10 @@ def _prepare(params: dict[str, np.ndarray], height: int, width: int, channels: i
         raise CheckpointError(
             f"flattened size {h * w * ch} does not match dense layer {dense_w.shape[0]}",
             kind="shape",
+        )
+    if network_width(params) != width:
+        raise CheckpointError(
+            f"policy head has {network_width(params)} columns, the input {width}", kind="shape"
         )
     return (
         tuple(layers), dense_w, params["dense_b"], params["policy_w"], params["policy_b"],
@@ -300,7 +298,7 @@ def loss_and_gradients(params, batch, l2: float = 1e-4):
     grads["dense_b"] = dz1.sum(axis=0)
 
     da = (dz1 @ params["dense_w"].T).reshape(conv_out_shape)
-    for i in reversed(_conv_layers(params)):
+    for i in reversed(range(len(blocks))):
         a_in, relu, pooled = blocks[i]
         if pooled:
             da = _maxpool_backward(da, relu)

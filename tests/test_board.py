@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hrcsched import Board, BoardError, JobSpec, Stone, Task, desk_fixture, parse_jobspec
+from hrcsched import (
+    Board, BoardError, JobSpec, JobSpecError, Stone, Task, desk_fixture, parse_jobspec,
+)
 
 from conftest import random_instance
 
@@ -19,9 +21,9 @@ def test_from_spec_and_lookup():
 
 
 def test_overlap_rejected_at_placement():
-    # a JobSpec built in code skips the parser's overlap check
+    # a JobSpec built in code meets the parser's overlap check when made
     tasks = (Task("a", "E", 1, 0, 0, 2), Task("b", "E", 1, 1, 0))
-    with pytest.raises(BoardError, match="already occupied"):
+    with pytest.raises(JobSpecError, match="overlaps task 'a'"):
         Board.from_spec(JobSpec(2, 2, 1, 1, tasks))
 
 
@@ -36,9 +38,9 @@ def test_overlap_rejected_at_placement():
     ],
 )
 def test_stone_outside_board_rejected_at_placement(stone):
-    # a JobSpec built in code skips the parser's bounds check
+    # a JobSpec built in code meets the parser's bounds check when made
     tasks = (stone, Task("b", "E", 1, 0, 1))
-    with pytest.raises(BoardError, match="'a' lies outside the board"):
+    with pytest.raises(JobSpecError, match="task 'a' (row|columns|must span)"):
         Board.from_spec(JobSpec(2, 2, 1, 1, tasks))
 
 

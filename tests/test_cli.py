@@ -267,6 +267,22 @@ def test_mismatched_checkpoint_exits_4(tmp_path, capsys):
     assert "does not fit" in capsys.readouterr().err
 
 
+def test_checkpoint_with_wrong_policy_width_exits_4(tmp_path, capsys):
+    # the desk's net (15 high, 8 wide) flattens to the same size as a net
+    # for 8 high and 15 wide, so only the policy head tells them apart
+    spec_path = tmp_path / "turned.job"
+    spec_path.write_text("board 15 8\nagents 1 1\ntask a H 2 0 0\ntask b R 2 9 0\n")
+    ckpt = tmp_path / "desk.txt"
+    save_checkpoint(init_params(15, 8), ckpt)
+    code = run_cli(
+        ["solve", "--jobspec", str(spec_path), "--out", str(tmp_path / "o"),
+         "--checkpoint", str(ckpt)]
+    )
+    assert code == 4
+    assert "does not fit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv_extra",
     [

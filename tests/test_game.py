@@ -325,7 +325,6 @@ def test_transition_leaves_its_input_untouched():
 
 @pytest.mark.parametrize("task_id", ["a,b", 'a"b'])
 def test_code_built_job_meets_the_task_id_rule(task_id):
-    # the parser never sees a JobSpec built in code, so play checks its ids
-    spec = JobSpec(1, 1, 1, 0, (Task(task_id, "H", 1, 0, 0),))
+    # a JobSpec built in code checks its ids when made, as the parser does
     with pytest.raises(JobSpecError, match="may not contain"):
-        run_episode(spec, first_pick)
+        run_episode(JobSpec(1, 1, 1, 0, (Task(task_id, "H", 1, 0, 0),)), first_pick)

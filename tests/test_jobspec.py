@@ -114,6 +114,32 @@ def test_error_reports_line_number():
         parse_jobspec("board 2 2\nagents 1 1\ntask a X 1 0 0\n")
 
 
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        ((2, 2, 1, 1, (Task("a", "E", 1, 0, 0), Task("a", "E", 1, 1, 0))), "duplicate task id"),
+        ((2, 2, 1, 1, (Task("a", "X", 1, 0, 0),)), "unknown kind 'X'"),
+        ((2, 2, 1, 1, (Task("a", "E", 0, 0, 0),)), "positive duration"),
+        ((2, 2, 0, 1, (Task("a", "H", 1, 0, 0),)), "needs a human"),
+        ((2, 2, 1, 1, ()), "at least one task"),
+        ((200, 100, 1, 1, (Task("a", "E", 1, 0, 0),)), "20000 cells"),
+        ((2, 2, 1, 1, (Task("a,b", "E", 1, 0, 0),)), "task id 'a,b'"),
+        # serialize_jobspec writes an id as one token, so these would not parse back
+        ((2, 2, 1, 1, (Task("", "E", 1, 0, 0),)), "task id ''"),
+        ((2, 2, 1, 1, (Task("a b", "E", 1, 0, 0),)), "task id 'a b'"),
+        ((2, 2, 1, 1, (Task("a\tb", "E", 1, 0, 0),)), r"task id 'a\\tb'"),
+        ((2, 2, 1, 1, (Task("x#y", "E", 1, 0, 0),)), "task id 'x#y'"),
+    ],
+    ids=[
+        "duplicate", "kind", "duration", "no-human", "no-tasks", "cells", "comma",
+        "empty-id", "space-id", "tab-id", "hash-id",
+    ],
+)
+def test_code_built_spec_meets_the_parser_rules(args, fragment):
+    with pytest.raises(JobSpecError, match=fragment):
+        JobSpec(*args)
+
+
 def test_precedence_single_column_chain():
     spec = parse_jobspec(
         "board 1 3\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\ntask c E 1 0 2\n"
