@@ -180,6 +180,7 @@ def exhaustive_search(
         doing[agent], finish[agent] = saved
 
     completed_rows: list[DepthRow] = []
+    status, stopped_at = COMPLETE, None
     while True:
         limit += 1
         nodes, routes, leaves = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
@@ -192,24 +193,15 @@ def exhaustive_search(
             routes[0] += 1
             expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
         except _BudgetStop:
-            return OracleResult(
-                status=BUDGET_EXCEEDED,
-                optimal_makespan=best_clock,
-                optimal_route=best_route,
-                depth_rows=completed_rows,
-                nodes_expanded=visits,
-                stopped_at_depth=limit,
-            )
+            status, stopped_at = BUDGET_EXCEEDED, limit
+            break
         completed_rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
         if not frontier:
-            return OracleResult(
-                status=COMPLETE,
-                optimal_makespan=best_clock,
-                optimal_route=best_route,
-                depth_rows=completed_rows,
-                nodes_expanded=visits,
-                stopped_at_depth=None,
-            )
+            break
+    return OracleResult(
+        status=status, optimal_makespan=best_clock, optimal_route=best_route,
+        depth_rows=completed_rows, nodes_expanded=visits, stopped_at_depth=stopped_at,
+    )
 
 
 def oracle_report_csv(result: OracleResult) -> str:

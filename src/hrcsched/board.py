@@ -31,9 +31,10 @@ in (row, col) order, the order the full scan meets them in, and the
 descents come out in the same order.
 
 That argument needs a layout that was settled before the pick. A job file
-can describe floating stones, so ``from_spec`` checks its layout once; the
-first cascade of an unsettled layout takes every stone above row 0 as a
-candidate, which makes its first pass a full one.
+can describe floating stones, so ``from_spec``, which takes its cells from
+``JobSpec.layout``, checks its layout once; the first cascade of an
+unsettled layout takes every stone above row 0 as a candidate, which makes
+its first pass a full one.
 """
 
 from __future__ import annotations
@@ -153,11 +154,9 @@ class Board:
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
-        """The job's initial layout; a ``JobSpec`` has checked that its
-        stones lie on the board without overlapping."""
+        """The job's initial layout, its cells a copy of ``JobSpec.layout``."""
         board = cls.__new__(cls)
-        width = board.width = spec.width
-        board.height = spec.height
+        board.width, board.height = spec.width, spec.height
         tasks = spec.tasks
         board.ids = tuple(t.id for t in tasks)
         board.index = {t.id: i for i, t in enumerate(tasks)}
@@ -165,10 +164,7 @@ class Board:
         board.col = tuple(t.col for t in tasks)
         board.span = tuple(t.span for t in tasks)
         board.rows = [t.row for t in tasks]
-        cells = board.cells = [-1] * (width * spec.height)
-        for i, t in enumerate(tasks):
-            base = t.row * width
-            cells[base + t.col : base + t.col + t.span] = [i] * t.span
+        board.cells = spec.layout()
         board.settled = board.is_gravity_fixpoint()
         return board
 

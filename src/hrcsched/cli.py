@@ -134,9 +134,9 @@ def _resolve_seed(args) -> int:
 
 def _load_spec(path) -> JobSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(3, f"cannot read jobspec: {exc}")
     try:
         return parse_jobspec(text)
@@ -165,7 +165,7 @@ def _make_evaluator(args, spec: JobSpec, seed: int) -> NetEvaluator:
     else:
         try:
             params = load_checkpoint(args.checkpoint)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(4, f"cannot read checkpoint: {exc}")
         except CheckpointError as exc:
             raise _CliError(4, f"bad checkpoint: {exc}")
@@ -182,7 +182,7 @@ def _write(out_dir, name: str, text: str | None = None) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
         if text is not None:
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         raise _CliError(1, f"cannot write {path}: {exc}")

@@ -17,7 +17,8 @@ game, even in the same epoch it descended.
 State is flat. ``JobContext`` numbers the tasks in job order and the
 agents in roster order, once per job, and holds every table that never
 changes: columns, spans, durations, each agent's compatible tasks and each
-task's direct predecessors as bitmasks, and the initial layout. A
+task's direct predecessors as bitmasks (``derive_precedence``'s sets), and
+the initial layout (``JobSpec.layout``'s, through ``Board.from_spec``). A
 ``GameState`` holds the layout as ``board.py`` defines it (``cells`` and
 ``rows``), each agent's task index (-1 when idle) and finish clock, the
 clock, a bitmask of the completed tasks, and the index of the agent to act
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .board import Board, cascade
-from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec
+from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, derive_precedence
 
 
 class GameError(Exception):
@@ -115,18 +116,12 @@ class JobContext:
         human = sum(1 << i for i, kind in enumerate(start.kinds) if kind != ROBOT_ONLY)
         robot = sum(1 << i for i, kind in enumerate(start.kinds) if kind != HUMAN_ONLY)
         job.ok = (human,) * spec.humans + (robot,) * spec.robots
-        # per task, the mask of its direct predecessors, by derive_precedence's
-        # rule (the nearest stone under each column); none in literal mode
+        # per task, the mask of its direct predecessors; none in literal mode
         pred = [0] * len(tasks)
-        if strict:
-            cells, width, col, span = start.cells, spec.width, start.col, start.span
-            for i, r in enumerate(start.rows):
-                lo = (r - 1) * width + col[i]
-                for c in range(lo, lo + span[i]):
-                    while c >= 0 and cells[c] < 0:
-                        c -= width
-                    if c >= 0:
-                        pred[i] |= 1 << cells[c]
+        if strict:  # derive_precedence lists the tasks in job order
+            for i, preds in enumerate(derive_precedence(spec).values()):
+                for p in preds:
+                    pred[i] |= 1 << start.index[p]
         job.pred = tuple(pred)
         return job
 

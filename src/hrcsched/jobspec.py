@@ -6,12 +6,14 @@ Each stone is doable by a human, a robot, or either one, lasts a whole
 number of time units, and covers one or more horizontally adjacent cells.
 
 A ``JobSpec`` checks all of this when it is made, parsed or built in code,
-so the board, the game and the oracle take a legal job for granted.
+so the board, the game and the oracle take a legal job for granted, and
+its one cell layout (``JobSpec.layout``, filled by that check) and its one
+precedence rule (``derive_precedence``) from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 HUMAN_ONLY = "H"
 ROBOT_ONLY = "R"
@@ -58,6 +60,7 @@ class JobSpec:
     humans: int
     robots: int
     tasks: tuple[Task, ...]
+    _cells: tuple[int, ...] = field(init=False, repr=False, compare=False)  # set by _validate
 
     def __post_init__(self):
         _validate(self)
@@ -77,6 +80,10 @@ class JobSpec:
     def total_duration(self) -> int:
         return sum(t.duration for t in self.tasks)
 
+    def layout(self) -> list[int]:
+        """The task index per cell, row 0 first (``row * width + col``), -1 if empty."""
+        return list(self._cells)
+
 
 def check_task_id(task_id: str, line=None) -> None:
     """An id is one token of the job format, as ``str.split`` cuts a line,
@@ -87,6 +94,10 @@ def check_task_id(task_id: str, line=None) -> None:
 
 
 def _validate(spec: JobSpec) -> None:
+    # a plain int each, as the parser makes them; a bool or a float is refused
+    if not type(spec.width) is type(spec.height) is type(spec.humans) is type(spec.robots) is int:
+        got = f"board {spec.width!r} {spec.height!r}, agents {spec.humans!r} {spec.robots!r}"
+        raise JobSpecError(f"board size and agent counts must be integers, got {got}")
     if spec.width < 1 or spec.height < 1:
         raise JobSpecError(f"board must be at least 1x1, got {spec.width}x{spec.height}")
     if spec.humans < 0 or spec.robots < 0:
@@ -101,14 +112,18 @@ def _validate(spec: JobSpec) -> None:
         raise JobSpecError("at least one task is required")
 
     seen: set[str] = set()
-    cells: dict[int, str] = {}  # task id per occupied cell, row * width + col
-    for t in spec.tasks:
+    width, tasks = spec.width, spec.tasks
+    cells = [-1] * (width * spec.height)  # the task index per cell, the one fill
+    for i, t in enumerate(tasks):
         check_task_id(t.id)
         if t.id in seen:
             raise JobSpecError(f"duplicate task id {t.id!r}")
         seen.add(t.id)
         if t.kind not in TASK_KINDS:
             raise JobSpecError(f"task {t.id!r} has unknown kind {t.kind!r}")
+        if not type(t.duration) is type(t.col) is type(t.row) is type(t.span) is int:
+            got = f"got {t.duration!r} {t.col!r} {t.row!r} {t.span!r}"
+            raise JobSpecError(f"task {t.id!r} duration, col, row, span must be integers, {got}")
         if t.duration < 1:
             raise JobSpecError(f"task {t.id!r} must have positive duration")
         if t.span < 1:
@@ -117,17 +132,19 @@ def _validate(spec: JobSpec) -> None:
             raise JobSpecError(f"task {t.id!r} row {t.row} outside the board")
         if t.col < 0 or t.col + t.span > spec.width:
             raise JobSpecError(f"task {t.id!r} columns outside the board")
-        base = t.row * spec.width
-        for c in t.columns():
-            other = cells.setdefault(base + c, t.id)
-            if other != t.id:
+        lo = t.row * width + t.col
+        for c in range(lo, lo + t.span):
+            if cells[c] >= 0:
+                other = tasks[cells[c]].id
                 raise JobSpecError(
-                    f"task {t.id!r} overlaps task {other!r} at row {t.row}, col {c}"
+                    f"task {t.id!r} overlaps task {other!r} at row {t.row}, col {c % width}"
                 )
+            cells[c] = i
         if t.kind == HUMAN_ONLY and spec.humans == 0:
             raise JobSpecError(f"task {t.id!r} needs a human but the roster has none")
         if t.kind == ROBOT_ONLY and spec.robots == 0:
             raise JobSpecError(f"task {t.id!r} needs a robot but the roster has none")
+    object.__setattr__(spec, "_cells", tuple(cells))
 
 
 def parse_jobspec(text: str) -> JobSpec:
@@ -216,20 +233,16 @@ def derive_precedence(spec: JobSpec) -> dict[str, frozenset[str]]:
     that column (in the initial layout) is a direct predecessor. Tasks with
     nothing underneath have no predecessors.
     """
-    occupied: dict[tuple[int, int], str] = {}
-    for t in spec.tasks:
-        for cell in t.cells():
-            occupied[cell] = t.id
-
+    cells, width, tasks = spec._cells, spec.width, spec.tasks
     result: dict[str, frozenset[str]] = {}
-    for t in spec.tasks:
+    for t in tasks:
         preds: set[str] = set()
-        for c in t.columns():
-            for r in range(t.row - 1, -1, -1):
-                below = occupied.get((r, c))
-                if below is not None:
-                    preds.add(below)
-                    break
+        lo = (t.row - 1) * width + t.col  # the cell under the task's left end
+        for c in range(lo, lo + t.span):
+            while c >= 0 and cells[c] < 0:
+                c -= width
+            if c >= 0:
+                preds.add(tasks[cells[c]].id)
         result[t.id] = frozenset(preds)
     return result
 

@@ -383,7 +383,7 @@ def dumps_checkpoint(params: dict[str, np.ndarray]) -> str:
 
 
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_checkpoint(params))
 
 
@@ -442,7 +442,7 @@ def loads_checkpoint(text: str) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return loads_checkpoint(fh.read())
 
 

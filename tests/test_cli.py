@@ -235,6 +235,19 @@ def test_garbage_checkpoint_exits_4(tiny_path, tmp_path, capsys):
     assert "bad checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, code, message",
+    [("--jobspec", 3, "cannot read jobspec"), ("--checkpoint", 4, "cannot read checkpoint")],
+)
+def test_undecodable_file_exits_with_its_code(flag, code, message, tiny_path, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")  # 0xff never occurs in UTF-8
+    # the later --jobspec replaces the tiny job
+    argv = ["solve", "--jobspec", tiny_path, "--out", str(tmp_path / "o"), flag, str(bad)]
+    assert run_cli(argv) == code
+    assert message in capsys.readouterr().err
+
+
 def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     desk = desk_fixture()
     job = tmp_path / "desk.job"

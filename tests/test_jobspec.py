@@ -129,10 +129,15 @@ def test_error_reports_line_number():
         ((2, 2, 1, 1, (Task("a b", "E", 1, 0, 0),)), "task id 'a b'"),
         ((2, 2, 1, 1, (Task("a\tb", "E", 1, 0, 0),)), r"task id 'a\\tb'"),
         ((2, 2, 1, 1, (Task("x#y", "E", 1, 0, 0),)), "task id 'x#y'"),
+        # serialize_jobspec would write these, and parse_jobspec reject them
+        ((2, 2, 1, 1, (Task("a", "E", 1.5, 0, 0),)), "task 'a' .* integers, got 1.5 0 0 1"),
+        ((2, 2, True, 0, (Task("a", "E", 1, 0, 0),)), "integers, got board 2 2, agents True 0"),
+        ((2.0, 2, 1, 1, (Task("a", "E", 1, 0, 0),)), "integers, got board 2.0 2,"),
     ],
     ids=[
         "duplicate", "kind", "duration", "no-human", "no-tasks", "cells", "comma",
-        "empty-id", "space-id", "tab-id", "hash-id",
+        "empty-id", "space-id", "tab-id", "hash-id", "float-duration", "bool-humans",
+        "float-width",
     ],
 )
 def test_code_built_spec_meets_the_parser_rules(args, fragment):

@@ -120,6 +120,30 @@ def test_predecessor_masks_follow_derive_precedence(job):
         assert not any(context.pred)
 
 
+def reference_precedence(spec):
+    """``derive_precedence`` written apart from the flat layout: for each
+    column a task covers, the nearest stone below it, found by row."""
+    occupied = {cell: t.id for t in spec.tasks for cell in t.cells()}
+    result = {}
+    for t in spec.tasks:
+        preds = set()
+        for c in t.columns():
+            for r in range(t.row - 1, -1, -1):
+                below = occupied.get((r, c))
+                if below is not None:
+                    preds.add(below)
+                    break
+        result[t.id] = frozenset(preds)
+    return result
+
+
+@PROPERTY
+@given(jobs())
+def test_derive_precedence_matches_the_reference(job):
+    spec, _ = job
+    assert derive_precedence(spec) == reference_precedence(spec)
+
+
 @PROPERTY
 @given(jobs(), st.integers(0, 2**32 - 1))
 def test_rewards_sum_to_minus_the_makespan(job, seed):
