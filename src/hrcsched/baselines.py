@@ -9,6 +9,12 @@ when the budget cuts the run short. Sequences whose epoch closes with no
 agent busy are dead ends (time could never advance) and are not counted as
 routes.
 
+Small trees, on which the deepening repeats most of its work, are settled
+first by one probe pass to ``PROBE_DEPTH`` under a cap of
+``node_budget // PROBE_DEPTH`` visits. Unless it meets an unfinished route
+that deep or outgrows its cap, its per-depth counts give every field the
+deepening would report; otherwise the deepening runs from scratch.
+
 The search is one recursive closure over the game's flat state (see
 ``game.py``): agents and tasks are bitmasks, and busy agents' tasks and
 finish times sit in two lists. Every child of a node is built by one rule,
@@ -30,6 +36,7 @@ when it holds none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 
 import numpy as np
@@ -40,6 +47,9 @@ from .jobspec import JobSpec
 
 NODE_BUDGET = 10_000_000
 TRAJECTORIES = 1000
+# far under Python's recursion limit; benchmark corpus trees are at most 13
+# deep, and on the desk job the probe gives up at its first node this deep
+PROBE_DEPTH = 64
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -59,7 +69,7 @@ class OracleResult:
     optimal_makespan: int | None
     optimal_route: list[tuple[str, str | None]] | None  # (agent, task or None=decline)
     depth_rows: list[DepthRow]
-    nodes_expanded: int
+    nodes_expanded: int  # the deepening's visits, the budget's unit, even if probed
     stopped_at_depth: int | None
 
     @property
@@ -79,7 +89,7 @@ def exhaustive_search(
     Voluntary declines are part of the action space (waiting for a partner
     to free a task can shorten the schedule), so the reported optimum is a
     true lower bound for any legal play. The budget counts prefix visits
-    summed over all deepening passes.
+    summed over all deepening passes, even when the probe pass answers.
     """
     job = JobContext.build(spec, strict=strict)
     w, col, span, dur = job.width, job.col, job.span, job.duration
@@ -92,18 +102,20 @@ def exhaustive_search(
     finish = [0] * len(labels)  # clock at which each busy agent's task completes
     stack: list[tuple[int, int]] = []  # (agent, task or -1 to decline) per move
     visits = 0
-    best_clock = best_route = None
-    limit = 0
+    best_clock = best_depth = best_route = None
+    # the probe's settings; under its cap even the deepening fits the budget
+    probing, limit, cap = True, PROBE_DEPTH, node_budget // PROBE_DEPTH
     nodes = routes = leaves = []  # counters of the current pass, rebound per pass
     frontier = False
 
     def leaf(depth, clock):
         """Count a finished schedule whose route is ``stack``."""
-        nonlocal best_clock, best_route
+        nonlocal best_clock, best_depth, best_route
         routes[depth] += 1
         leaves[depth] += 1
-        if best_clock is None or clock < best_clock:
-            best_clock = clock
+        # the deepening meets the shallowest of the fastest leaves first
+        if best_clock is None or clock < best_clock or clock == best_clock and depth < best_depth:
+            best_clock, best_depth = clock, depth
             best_route = [(labels[a], ids[t] if t >= 0 else None) for a, t in stack]
 
     def expand(depth, grid, row, idle, declined, completed, clock):
@@ -140,7 +152,7 @@ def exhaustive_search(
 
         saved = doing[agent], finish[agent]
         for t in moves:
-            if visits >= node_budget:
+            if visits >= cap:
                 raise _BudgetStop
             visits += 1
             nodes[depth] += 1
@@ -168,6 +180,8 @@ def exhaustive_search(
             else:
                 routes[depth] += 1
                 if final:
+                    if probing:
+                        raise _BudgetStop
                     frontier = True
                 elif t < 0:
                     expand(depth, grid, row, *child)
@@ -179,25 +193,41 @@ def exhaustive_search(
             stack.pop()
         doing[agent], finish[agent] = saved
 
-    completed_rows: list[DepthRow] = []
-    status, stopped_at = COMPLETE, None
-    while True:
-        limit += 1
+    def dig():
+        """One depth-first pass from the root to ``limit`` on fresh counters."""
+        nonlocal visits, nodes, routes, leaves, frontier
         nodes, routes, leaves = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
         frontier = False
+        if visits >= cap:
+            raise _BudgetStop
+        visits += 1
+        nodes[0] += 1
+        routes[0] += 1
+        expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
+
+    status, stopped_at = COMPLETE, None
+    try:
+        dig()
+    except _BudgetStop:
+        # Deepen from scratch. doing/finish need no reset: an agent's pick
+        # writes its entries before anything reads them.
+        stack.clear()
+        best_clock = best_depth = best_route = None
+        probing, limit, cap, visits, frontier = False, 0, node_budget, 0, True
+        completed_rows: list[DepthRow] = []
+    else:
+        # the deepening's last pass is the first to find no unfinished route
+        limit = 1 + max(d for d in range(limit + 1) if routes[d] > leaves[d])
+        completed_rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
+        visits = sum(accumulate(nodes[:limit + 1])) - nodes[0]  # passes 1..limit
+    while frontier:
+        limit += 1
         try:
-            if visits >= node_budget:
-                raise _BudgetStop
-            visits += 1
-            nodes[0] += 1
-            routes[0] += 1
-            expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
+            dig()
         except _BudgetStop:
             status, stopped_at = BUDGET_EXCEEDED, limit
             break
         completed_rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
-        if not frontier:
-            break
     return OracleResult(
         status=status, optimal_makespan=best_clock, optimal_route=best_route,
         depth_rows=completed_rows, nodes_expanded=visits, stopped_at_depth=stopped_at,

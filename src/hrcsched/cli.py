@@ -191,6 +191,7 @@ def _write(out_dir, name: str, text: str | None = None) -> None:
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed)
+    _write(args.out, "schedule.csv")  # fail before the search, not after
     record = play(spec, search_chooser(evaluator, config), seed=seed, strict=strict)
     _write(args.out, "schedule.csv", schedule_csv(record))
     _write(args.out, "episode_log.csv", episode_log_csv(record))
@@ -234,6 +235,7 @@ def _cmd_train(args, spec: JobSpec, seed: int, strict: bool) -> int:
 def _cmd_baseline(args, spec: JobSpec, seed: int, strict: bool) -> int:
     if args.trajectories < 1:
         raise _CliError(2, "--trajectories must be at least 1")
+    _write(args.out, "histogram.csv")
     stats = random_rollouts(spec, trajectories=args.trajectories, seed=seed, strict=strict)
     _write(args.out, "histogram.csv", histogram_csv(stats))
     print(f"trajectories {stats.count}")
@@ -245,6 +247,7 @@ def _cmd_baseline(args, spec: JobSpec, seed: int, strict: bool) -> int:
 def _cmd_oracle(args, spec: JobSpec, seed: int, strict: bool) -> int:
     if args.node_budget < 1:
         raise _CliError(2, "--node-budget must be at least 1")
+    _write(args.out, "oracle_report.csv")
     result = exhaustive_search(spec, node_budget=args.node_budget, strict=strict)
     _write(args.out, "oracle_report.csv", oracle_report_csv(result))
     if result.status == BUDGET_EXCEEDED:

@@ -33,6 +33,7 @@ from hrcsched import (
     random_rollouts,
     transition,
 )
+from hrcsched.baselines import PROBE_DEPTH
 from hrcsched.game import pick
 
 from conftest import TINY_TEXT, random_instance
@@ -249,6 +250,20 @@ def test_oracle_matches_reference_search_on_floating_layouts(humans, robots):
             expected = reference_search(spec, strict=strict)
             assert exhaustive_search(spec, strict=strict) == expected, (seed, strict)
     assert floating >= 10
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("robots, budget", [(0, 10_000_000), (1, 20_000)])
+def test_oracle_matches_reference_search_below_the_probe_depth(robots, budget, strict):
+    # One column of 70 stones, so every route runs deeper than PROBE_DEPTH.
+    # A lone human's tree is one path, within the probe's visit cap but not
+    # its depth; with a robot the tree outgrows the budget.
+    tasks = tuple(Task(f"s{i}", "E", 1 + i % 4, 0, i, 1) for i in range(70))
+    spec = JobSpec(1, 70, 1, robots, tasks)
+    assert len(tasks) > PROBE_DEPTH
+    expected = reference_search(spec, node_budget=budget, strict=strict)
+    assert expected.status == (BUDGET_EXCEEDED if robots else COMPLETE)
+    assert exhaustive_search(spec, node_budget=budget, strict=strict) == expected
 
 
 def test_oracle_depth_row_invariants():

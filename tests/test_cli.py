@@ -331,6 +331,27 @@ def test_unwritable_out_exits_1(tiny_path, tmp_path, capsys, argv):
     assert taken.read_text() == "a file, not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["solve", "--simulations", "2"], "play"),
+        (["oracle", "--node-budget", "2000000"], "exhaustive_search"),
+        (["baseline", "--trajectories", "5"], "random_rollouts"),
+    ],
+    ids=["solve", "oracle", "baseline"],
+)
+def test_unwritable_out_exits_before_the_work(tiny_path, tmp_path, capsys, monkeypatch, argv, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(f"hrcsched.cli.{work}", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run_cli(argv + ["--jobspec", tiny_path, "--out", str(taken / "sub")])
+    assert code == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_train_rejects_checkpoint_and_bad_counts(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "w.txt"
     save_checkpoint(init_params(2, 2, filters=(4,), dense_units=8), ckpt)

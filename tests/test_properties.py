@@ -172,6 +172,14 @@ def test_oracle_matches_plain_iterative_deepening_under_any_budget(job, budget):
     assert exhaustive_search(spec, node_budget=budget, strict=strict) == expected
 
 
+@settings(PROPERTY, max_examples=100)
+@given(jobs(max_tasks=5, max_agents=3))
+def test_oracle_matches_plain_iterative_deepening_at_the_default_budget(job):
+    # small trees fit the probe pass, so this checks its one-pass counts
+    spec, strict = job
+    assert exhaustive_search(spec, strict=strict) == reference_search(spec, strict=strict)
+
+
 def reference_turn(state, declined):
     """The agent to act, by an explicit mask of the agents that declined
     this epoch: the first idle agent not in it, or -1."""
