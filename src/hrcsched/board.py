@@ -30,7 +30,18 @@ are keyed by the cell of their leftmost column and taken from a heap, so
 in (row, col) order, the order the full scan meets them in, and the
 descents come out in the same order.
 
-That argument needs a layout that was settled before the pick. A job file
+A one-wide pick needs no heap when the stones above it in its column, up
+to the first empty cell or the board's top, are all one wide: that run
+falls one row and nothing else moves. In the first pass each run stone,
+scanned bottom-up, finds the cell below it just vacated, and no second
+pass moves anything. A stone resting on a run stone has the cell directly
+above it, so it is the next run stone; once the run has fallen, the only
+cell emptied is its top stone's old one, under the gap or the top, so no
+other stone loses support. ``cascade`` shifts the run with one slice and
+reports it bottom-up. If the walk up the column meets a wide stone first,
+that stone may have rested on the run alone, and the heap cascade runs.
+
+Both arguments need a layout that was settled before the pick. A job file
 can describe floating stones, so ``from_spec``, which takes its cells from
 ``JobSpec.layout``, checks its layout once; the first cascade of an
 unsettled layout takes every stone above row 0 as a candidate, which makes
@@ -80,8 +91,21 @@ def cascade(
     hi = lo + span[t]
     rows[t] = -1
     descents: list[int] = []
+    size = len(cells)
     if hi - lo == 1:
         cells[lo] = -1
+        if settled:
+            # the column run (module docstring): one-wide stones up to a gap
+            # or the top all fall one row, bottom-up, in one slice
+            top = lo + width
+            while top < size and cells[top] >= 0 and span[cells[top]] == 1:
+                top += width
+            if top >= size or cells[top] < 0:
+                run = cells[lo + width : top : width]
+                cells[lo:top:width] = run + [-1]
+                for s in run:
+                    rows[s] -= 1
+                return run
     else:
         cells[lo:hi] = [-1] * (hi - lo)
     if settled:
@@ -94,7 +118,6 @@ def cascade(
     else:
         heap = [r * width + col[s] for s, r in enumerate(rows) if r > 0]
         heapify(heap)
-    size = len(cells)
     while heap:
         fell: list[int] = []  # ascending, so already a heap for the next pass
         last = -1

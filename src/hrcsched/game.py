@@ -254,29 +254,32 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         )
     else:
         t = job.index.get(action.task)
-        if (
-            t is None
-            or state.rows[t] != 0
-            or not job.ok[p] >> t & 1
-            or job.pred[t] & ~state.completed_mask
-        ):
+        done = state.completed_mask
+        if t is None or state.rows[t] != 0 or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-        nxt = state.copy()
-        cascade(nxt.cells, nxt.rows, job.col, job.span, job.width, t, _settled(state))
-        nxt.doing[p] = t
-        nxt.finish[p] = state.clock + job.duration[t]
-        nxt.pending = _first_idle(nxt.doing, p + 1)
+        cells, rows, doing, finish = state.cells[:], state.rows[:], state.doing[:], state.finish[:]
+        settled = job.settled or done != 0 or max(doing) >= 0  # _settled(state), inlined
+        cascade(cells, rows, job.col, job.span, job.width, t, settled)
+        doing[p] = t
+        finish[p] = state.clock + job.duration[t]
+        nxt = GameState(
+            job, cells, rows, doing, finish, state.clock, done, _first_idle(doing, p + 1)
+        )
     doing, finish = nxt.doing, nxt.finish
     if nxt.pending >= 0 or max(doing) < 0:
         return nxt, 0, False
     # the epoch closes: every agent is busy or has declined, and someone is busy
-    soon = min(f for t, f in zip(doing, finish) if t >= 0)
+    soon = -1  # the earliest finish; every finish is positive
+    for i, t in enumerate(doing):
+        if t >= 0 and (soon < 0 or finish[i] < soon):
+            soon = finish[i]
+    done = nxt.completed_mask
     for i, t in enumerate(doing):
         if t >= 0 and finish[i] == soon:
-            nxt.completed_mask |= 1 << t
+            done |= 1 << t
             doing[i] = -1
     elapsed = soon - nxt.clock
-    nxt.clock = soon
+    nxt.completed_mask, nxt.clock = done, soon
     nxt.pending = _first_idle(doing, 0)
     return nxt, -elapsed, True
 

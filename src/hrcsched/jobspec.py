@@ -144,6 +144,8 @@ def _validate(spec: JobSpec) -> None:
             raise JobSpecError(f"task {t.id!r} needs a human but the roster has none")
         if t.kind == ROBOT_ONLY and spec.robots == 0:
             raise JobSpecError(f"task {t.id!r} needs a robot but the roster has none")
+    if cells[:width].count(-1) == width:
+        raise JobSpecError("no task on row 0, so none can be picked first")
     object.__setattr__(spec, "_cells", tuple(cells))
 
 

@@ -264,7 +264,10 @@ def _batch_loss(params, batch, l2: float):
     log_p = saved[-1]
     ce = float(-(pis * log_p).sum(axis=1).mean())
     mse = float(((zs - v) ** 2).mean())
-    reg = l2 * sum(float((t * t).sum()) for t in params.values())
+    reg = 0.0  # left to right: builtin sum() compensates from Python 3.12 on
+    for t in params.values():
+        reg += float((t * t).sum())
+    reg *= l2
     return (ce + mse + reg, ce, mse), (pis, zs, p, v, saved)
 
 

@@ -137,7 +137,9 @@ def expand_and_evaluate(node: SearchNode, evaluator) -> float:
         cols = [col[index[a.task]] for a in picks]
         weights = masked_priors(p, cols).tolist()
         weights.append(NOOP_PRIOR)
-        total = sum(weights)
+        total = 0.0  # left to right: builtin sum() compensates from Python 3.12 on
+        for w in weights:
+            total += w
         priors = [w / total for w in weights]
     else:
         priors = [1.0]

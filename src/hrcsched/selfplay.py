@@ -158,7 +158,10 @@ def clip_gradients(grads, max_norm: float):
     units whose gradients would blow the network up under momentum; the cap
     bounds each step while leaving converged training untouched.
     """
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    total = 0.0  # left to right: builtin sum() compensates from Python 3.12 on
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    total = float(np.sqrt(total))
     if total <= max_norm or total == 0.0:
         return grads
     scale = max_norm / total

@@ -19,6 +19,7 @@ from hrcsched import (
     Board,
     DepthRow,
     JobSpec,
+    JobSpecError,
     OracleResult,
     Task,
     exhaustive_search,
@@ -244,7 +245,10 @@ def test_oracle_matches_reference_search_on_larger_rosters(humans, robots):
 def test_oracle_matches_reference_search_on_floating_layouts(humans, robots):
     floating = 0
     for seed in range(30):
-        spec = floating_instance(seed, humans, robots)
+        try:
+            spec = floating_instance(seed, humans, robots)
+        except JobSpecError:
+            continue  # no stone on row 0: not a job
         floating += not Board.from_spec(spec).is_gravity_fixpoint()
         for strict in (True, False):
             expected = reference_search(spec, strict=strict)

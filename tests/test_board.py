@@ -187,9 +187,10 @@ def reference_cascade(board: ReferenceBoard, task_id: str) -> list[tuple[str, in
     return descents
 
 
-def random_layout(rng: np.random.Generator) -> tuple[Board, ReferenceBoard]:
+def random_layout(rng: np.random.Generator) -> tuple[Board, ReferenceBoard] | None:
     """A board and a reference board with the same random layout, floating
-    stones allowed: 1-6 columns, 1-7 rows, spans 1-3."""
+    stones allowed: 1-6 columns, 1-7 rows, spans 1-3. None when no stone
+    landed on row 0, which is not a job; the draws are the same either way."""
     width = int(rng.integers(1, 7))
     height = int(rng.integers(1, 8))
     tasks = []
@@ -203,21 +204,42 @@ def random_layout(rng: np.random.Generator) -> tuple[Board, ReferenceBoard]:
             continue
         used |= cells
         tasks.append(Task(f"s{i}", "E", 1, col, row, span))
-    board = Board.from_spec(JobSpec(width, height, 1, 1, tuple(tasks)))
+    try:
+        board = Board.from_spec(JobSpec(width, height, 1, 1, tuple(tasks)))
+    except JobSpecError:
+        return None
     return board, ReferenceBoard(board)
+
+
+def column_run(board: Board, task_id: str) -> bool:
+    """Whether picking ``task_id`` is the column-run case of ``cascade``: a
+    settled layout, a one-wide pick, and only one-wide stones above it up
+    to a gap or the top."""
+    stones = board.stones
+    if not board.settled or stones[task_id].span != 1:
+        return False
+    col = stones[task_id].col
+    for row in board.grid[1:]:
+        if row[col] is None:
+            return True
+        if stones[row[col]].span != 1:
+            return False
+    return True
 
 
 def test_cascade_matches_full_rescan_on_random_boards():
     rng = np.random.default_rng(2024)
-    boards = picks = 0
+    boards = picks = runs = 0
     while boards < 5000:
-        fast, slow = random_layout(rng)
-        if not fast.bottom_row_tasks():
-            continue  # a layout with nothing to pick tests no cascade
+        layout = random_layout(rng)
+        if layout is None:
+            continue  # nothing to pick, so no cascade to test
+        fast, slow = layout
         boards += 1
         while fast.bottom_row_tasks():
             assert fast.bottom_row_tasks() == slow.bottom_row_tasks()
             tid = str(rng.choice(fast.bottom_row_tasks()))
+            runs += column_run(fast, tid)
             assert fast.remove_and_cascade(tid).descents == reference_cascade(slow, tid)
             assert fast.grid == slow.grid
             assert {k: s.row for k, s in fast.stones.items()} == {
@@ -225,6 +247,59 @@ def test_cascade_matches_full_rescan_on_random_boards():
             }
             picks += 1
     assert picks > 5000
+    # both paths of a settled cascade, and the unsettled one, are well used
+    assert runs > 1000 and picks - runs > 1000
+
+
+def check_cascade(text: str, task_id: str) -> list[tuple[str, int, int]]:
+    """Pick ``task_id`` on the job ``text`` and on its reference board, check
+    that both agree, and return the descents."""
+    fast = make_board(text)
+    slow = ReferenceBoard(make_board(text))
+    descents = fast.remove_and_cascade(task_id).descents
+    assert descents == reference_cascade(slow, task_id)
+    assert fast.grid == slow.grid
+    assert fast.is_gravity_fixpoint()
+    return descents
+
+
+def test_column_run_up_to_the_top():
+    text = (
+        "board 2 3\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\n"
+        "task c E 1 0 2\ntask d E 1 1 0\n"
+    )
+    assert column_run(make_board(text), "a")
+    assert check_cascade(text, "a") == [("b", 1, 0), ("c", 2, 1)]
+
+
+def test_column_run_under_a_gap_leaves_the_wide_stone_above_it():
+    # w spans both columns over the gap at column 0, row 2, and rests on z
+    text = (
+        "board 2 4\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\n"
+        "task x E 1 1 0\ntask y E 1 1 1\ntask z E 1 1 2\ntask w E 1 0 3 2\n"
+    )
+    assert column_run(make_board(text), "a")
+    assert check_cascade(text, "a") == [("b", 1, 0)]
+
+
+def test_wide_stone_resting_only_on_the_run_falls():
+    # w spans both columns and rests on b alone
+    text = (
+        "board 2 3\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\n"
+        "task x E 1 1 0\ntask w E 1 0 2 2\n"
+    )
+    assert not column_run(make_board(text), "a")
+    assert check_cascade(text, "a") == [("b", 1, 0), ("w", 2, 1)]
+
+
+def test_wide_stone_resting_on_the_run_and_a_neighbour_stays():
+    # w spans both columns and rests on b and on y
+    text = (
+        "board 2 3\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\n"
+        "task x E 1 1 0\ntask y E 1 1 1\ntask w E 1 0 2 2\n"
+    )
+    assert not column_run(make_board(text), "a")
+    assert check_cascade(text, "a") == [("b", 1, 0)]
 
 
 def test_floating_job_gets_a_full_first_pass():
@@ -254,7 +329,10 @@ def test_cascade_leaves_copies_untouched():
     must leave the other side's grid and stones as they were."""
     rng = np.random.default_rng(7)
     for _ in range(300):
-        board, _ = random_layout(rng)
+        layout = random_layout(rng)
+        if layout is None:
+            continue
+        board = layout[0]
         earlier = []
         while board.bottom_row_tasks():
             before = snapshot(board)

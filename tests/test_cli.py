@@ -224,6 +224,15 @@ def test_invalid_jobspec_exits_3(tmp_path, capsys):
     assert "invalid jobspec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "baseline", "oracle"])
+def test_job_without_a_row_0_stone_exits_3(command, tmp_path, capsys):
+    path = tmp_path / "floating.job"
+    path.write_text("board 2 3\nagents 1 1\ntask a E 1 0 1\n")
+    code = run_cli([command, "--jobspec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "invalid jobspec: no task on row 0" in capsys.readouterr().err
+
+
 def test_garbage_checkpoint_exits_4(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "weights.txt"
     ckpt.write_text("not a checkpoint\n")

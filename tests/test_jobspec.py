@@ -109,6 +109,14 @@ def test_job_size_limits():
     assert at_limit.humans + at_limit.robots == MAX_AGENTS
 
 
+def test_job_without_a_row_0_stone_is_refused():
+    # only bottom-row stones can be picked, so play could not start
+    with pytest.raises(JobSpecError, match="no task on row 0"):
+        parse_jobspec("board 2 3\nagents 1 1\ntask a E 1 0 1\n")
+    with pytest.raises(JobSpecError, match="no task on row 0"):
+        JobSpec(2, 3, 1, 1, (Task("a", "E", 1, 0, 1), Task("b", "E", 1, 0, 2, 2)))
+
+
 def test_error_reports_line_number():
     with pytest.raises(JobSpecError, match="line 3"):
         parse_jobspec("board 2 2\nagents 1 1\ntask a X 1 0 0\n")

@@ -21,6 +21,7 @@ from hrcsched import (
     run_episode,
     transition,
 )
+from hrcsched import search
 from hrcsched.game import pick
 from hrcsched.search import (
     Edge,
@@ -195,6 +196,17 @@ def test_expand_sets_noop_prior():
     assert priors["pick A"] == pytest.approx(0.5 / 1.001)
     assert priors["pick C"] == pytest.approx(0.5 / 1.001)
     assert sum(priors.values()) == pytest.approx(1.0)
+
+
+def test_prior_total_is_summed_left_to_right(monkeypatch):
+    """The priors' total is accumulated left to right, which is what builtin
+    ``sum`` does up to Python 3.11. The compensated ``sum`` of 3.12 would
+    total these weights to 1e16 + 2, move every prior, and with them the
+    ties ``select_edge`` breaks, so a run would depend on the Python version."""
+    monkeypatch.setattr(search, "masked_priors", lambda p, cols: np.array([1e16, 1.0]))
+    node = SearchNode(state=tiny_state(), depth=0)
+    expand_and_evaluate(node, UniformEvaluator(2))
+    assert [e.prior for e in node.edges] == [1.0, 1e-16, 1e-19]
 
 
 def test_expand_with_no_picks_gives_noop_everything():

@@ -173,6 +173,13 @@ def test_clip_gradients():
     assert clip_gradients(zeros, 1.0) is zeros
 
 
+def test_gradient_norm_is_summed_left_to_right():
+    # squares 1e16, 1, 1: left to right (builtin sum up to Python 3.11) the
+    # total stays 1e16; compensated (Python 3.12's sum) it is 1e16 + 2
+    grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+    assert clip_gradients(grads, 1.0)["a"][0] == 1.0
+
+
 def test_train_iteration_empty_or_zero_epochs_is_identity():
     params = init_params(2, 2, filters=(4,), dense_units=8)
     out, ce, mse = train_iteration([], params, TrainingConfig())
