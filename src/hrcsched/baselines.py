@@ -19,15 +19,16 @@ The search is one recursive closure over the game's flat state (see
 ``game.py``): agents and tasks are bitmasks, and busy agents' tasks and
 finish times sit in two lists. Every child of a node is built by one rule,
 the arithmetic of the agent's move and, when the move closes the epoch, of
-the earliest finish. A pick's child gets its own copy of the layout, on
-which ``board.cascade``, the gravity routine the game itself uses, removes
-the stone, so the layout alone records what was taken this epoch. On a
-pass's last level each child is still one visit checked against the
-budget, and is counted as finished, stalled or on the frontier, but not
-expanded. A layout with floating stones settles on a route's first pick,
-as it does in play. The oracle keeps this scan and arithmetic of its own
-rather than stepping with ``legal_actions`` and ``transition``, which
-gives the same results at half the speed.
+the earliest finish. The layout is one ``cells`` list per node, as in the
+game; a pick's child gets its own copy, on which ``board.cascade``, the
+gravity routine the game itself uses, removes the stone, so the layout
+alone records what was taken this epoch. On a pass's last level each child
+is still one visit checked against the budget, and is counted as finished,
+stalled or on the frontier, but not expanded. A layout with floating
+stones settles on a route's first pick, as it does in play. The oracle
+keeps this scan and arithmetic of its own rather than stepping with
+``legal_actions`` and ``transition``, which gives the same results at half
+the speed.
 
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.
@@ -118,8 +119,8 @@ def exhaustive_search(
             best_clock, best_depth = clock, depth
             best_route = [(labels[a], ids[t] if t >= 0 else None) for a, t in stack]
 
-    def expand(depth, grid, row, idle, declined, completed, clock):
-        """Visit the children of a live node on layout ``grid``/``row``.
+    def expand(depth, grid, idle, declined, completed, clock):
+        """Visit the children of a live node on layout ``grid``.
 
         ``idle`` and ``declined`` are agent masks, ``completed`` a task
         mask; busy agents' tasks sit in ``doing`` and ``finish``."""
@@ -184,12 +185,12 @@ def exhaustive_search(
                         raise _BudgetStop
                     frontier = True
                 elif t < 0:
-                    expand(depth, grid, row, *child)
+                    expand(depth, grid, *child)
                 else:
                     # The first pick of a route on a floating layout settles it.
-                    cells, rows = grid[:], row[:]
-                    cascade(cells, rows, col, span, w, t, settled or idle != everyone or completed)
-                    expand(depth, cells, rows, *child)
+                    cells = grid[:]
+                    cascade(cells, col, span, w, t, settled or idle != everyone or completed)
+                    expand(depth, cells, *child)
             stack.pop()
         doing[agent], finish[agent] = saved
 
@@ -203,7 +204,7 @@ def exhaustive_search(
         visits += 1
         nodes[0] += 1
         routes[0] += 1
-        expand(0, list(job.cells), list(job.rows), everyone, 0, 0, 0)
+        expand(0, spec.layout(), everyone, 0, 0, 0)
 
     status, stopped_at = COMPLETE, None
     try:

@@ -5,10 +5,11 @@ above it unsupported; those descend one row at a time until every stone
 again has at least one occupied cell somewhere under its span. Only
 stones currently in the bottom row can be picked.
 
-A layout is flat: tasks are numbered in job order, ``cells`` holds the
+A layout is flat: tasks are numbered in job order, and ``cells`` holds the
 task index of every cell (-1 when empty) with row 0 first, so cell
-``row * width + col``, and ``rows`` holds each task's row (-1 once
-removed). The job's ``col`` and ``span`` tables never change.
+``row * width + col``. That list is the whole layout: a stone's row is its
+cell index ``// width``, and a task is in the bottom row exactly when
+``cells[col] == task``. The job's ``col`` and ``span`` tables never change.
 ``cascade`` is the one gravity routine: the game's transitions, ``Board``
 and the exhaustive search all call it on such a layout.
 
@@ -44,14 +45,15 @@ that stone may have rested on the run alone, and the heap cascade runs.
 Both arguments need a layout that was settled before the pick. A job file
 can describe floating stones, so ``from_spec``, which takes its cells from
 ``JobSpec.layout``, checks its layout once; the first cascade of an
-unsettled layout takes every stone above row 0 as a candidate, which makes
-its first pass a full one.
+unsettled layout takes the leftmost cell of every stone above row 0 as a
+candidate, in ascending order and so already a heap, which makes its first
+pass a full one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .jobspec import JobSpec
 
@@ -78,9 +80,7 @@ class PickOutcome:
     descents: list[tuple[str, int, int]] = field(default_factory=list)
 
 
-def cascade(
-    cells: list[int], rows: list[int], col, span, width: int, t: int, settled: bool
-) -> list[int]:
+def cascade(cells: list[int], col, span, width: int, t: int, settled: bool) -> list[int]:
     """Remove bottom-row task ``t`` from the layout, in place, and let the
     stack settle (see the module docstring).
 
@@ -89,7 +89,6 @@ def cascade(
     """
     lo = col[t]
     hi = lo + span[t]
-    rows[t] = -1
     descents: list[int] = []
     size = len(cells)
     if hi - lo == 1:
@@ -103,8 +102,6 @@ def cascade(
             if top >= size or cells[top] < 0:
                 run = cells[lo + width : top : width]
                 cells[lo:top:width] = run + [-1]
-                for s in run:
-                    rows[s] -= 1
                 return run
     else:
         cells[lo:hi] = [-1] * (hi - lo)
@@ -116,8 +113,7 @@ def cascade(
         if not heap:
             return descents
     else:
-        heap = [r * width + col[s] for s, r in enumerate(rows) if r > 0]
-        heapify(heap)
+        heap = [k for k in range(width, size) if (s := cells[k]) >= 0 and col[s] == k % width]
     while heap:
         fell: list[int] = []  # ascending, so already a heap for the next pass
         last = -1
@@ -141,7 +137,6 @@ def cascade(
                     continue
                 cells[below : below + n] = [s] * n
                 cells[key : key + n] = [-1] * n
-            rows[s] -= 1
             descents.append(s)
             if below >= width:
                 fell.append(below)
@@ -158,22 +153,20 @@ def cascade(
 class Board:
     """One layout over a job's tables.
 
-    A board from ``from_spec`` owns its ``cells`` and ``rows``; the board
-    of a game state (``GameState.board``) is a view of the state's lists,
-    which states never change and may share, so it is for reading.
+    A board from ``from_spec`` owns its ``cells``; the board of a game
+    state (``GameState.board``) is a view of the state's list, which states
+    never change and may share, so it is for reading.
     """
 
-    __slots__ = (
-        "width", "height", "ids", "index", "kinds", "col", "span", "cells", "rows", "settled",
-    )
+    __slots__ = ("width", "height", "ids", "index", "kinds", "col", "span", "cells", "settled")
 
-    def __init__(self, tables, cells: list[int], rows: list[int], settled: bool):
-        """A layout of ``cells`` and ``rows`` over the job tables of
-        ``tables``, a ``Board`` or a ``JobContext``."""
+    def __init__(self, tables, cells: list[int], settled: bool):
+        """A layout of ``cells`` over the job tables of ``tables``, a
+        ``Board`` or a ``JobContext``."""
         self.width, self.height = tables.width, tables.height
         self.ids, self.index, self.kinds = tables.ids, tables.index, tables.kinds
         self.col, self.span = tables.col, tables.span
-        self.cells, self.rows, self.settled = cells, rows, settled
+        self.cells, self.settled = cells, settled
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
@@ -186,20 +179,28 @@ class Board:
         board.kinds = tuple(t.kind for t in tasks)
         board.col = tuple(t.col for t in tasks)
         board.span = tuple(t.span for t in tasks)
-        board.rows = [t.row for t in tasks]
         board.cells = spec.layout()
         board.settled = board.is_gravity_fixpoint()
         return board
 
     def copy(self) -> "Board":
-        return Board(self, self.cells[:], self.rows[:], self.settled)
+        return Board(self, self.cells[:], self.settled)
 
     def __contains__(self, task_id: str) -> bool:
         i = self.index.get(task_id)
-        return i is not None and self.rows[i] >= 0
+        return i is not None and i in self.cells
 
     def __len__(self) -> int:
-        return len(self.rows) - self.rows.count(-1)
+        return len(set(self.cells) - {-1})
+
+    def _rows(self) -> list[int]:
+        """Each task's row, read off its cells; -1 once removed."""
+        rows = [-1] * len(self.ids)
+        w = self.width
+        for k, t in enumerate(self.cells):
+            if t >= 0:
+                rows[t] = k // w
+        return rows
 
     @property
     def grid(self) -> list[list[str | None]]:
@@ -216,7 +217,7 @@ class Board:
         ids, kinds, col, span = self.ids, self.kinds, self.col, self.span
         return {
             ids[i]: Stone(ids[i], kinds[i], col[i], span[i], r)
-            for i, r in enumerate(self.rows)
+            for i, r in enumerate(self._rows())
             if r >= 0
         }
 
@@ -233,12 +234,12 @@ class Board:
     def remove_and_cascade(self, task_id: str) -> PickOutcome:
         """Remove a bottom-row stone and let the stack settle (``cascade``)."""
         t = self.index.get(task_id)
-        if t is None or self.rows[t] < 0:
+        if t is None or t not in self.cells:
             raise BoardError(f"no stone {task_id!r} on the board")
-        if self.rows[t] != 0:
+        if self.cells[self.col[t]] != t:
             raise BoardError(f"stone {task_id!r} is not in the bottom row")
-        row = self.rows[:]  # each stone's row as the descents are replayed
-        fell = cascade(self.cells, self.rows, self.col, self.span, self.width, t, self.settled)
+        row = self._rows()  # each stone's row as the descents are replayed
+        fell = cascade(self.cells, self.col, self.span, self.width, t, self.settled)
         self.settled = True
         descents = []
         for s in fell:
@@ -248,7 +249,7 @@ class Board:
 
     def is_gravity_fixpoint(self) -> bool:
         cells, w, col, span = self.cells, self.width, self.col, self.span
-        for s, r in enumerate(self.rows):
+        for s, r in enumerate(self._rows()):
             # floating: every cell under the span is empty
             if r > 0:
                 lo = (r - 1) * w + col[s]

@@ -270,9 +270,9 @@ def _unpickable_reason(state, agent, tid: str) -> str:
         return "no such task"
     if state.completed_mask >> t & 1:
         return "already done"
-    if state.rows[t] < 0:  # picked, by this agent or a teammate
+    if t in state.doing:  # picked, by this agent or a teammate
         return "already being worked on"
-    if state.rows[t] != 0:
+    if state.cells[job.col[t]] != t:
         return "not on the bottom row yet"
     kind = job.kinds[t]
     if agent.is_human and kind == ROBOT_ONLY:

@@ -18,19 +18,19 @@ State is flat. ``JobContext`` numbers the tasks in job order and the
 agents in roster order, once per job, and holds every table that never
 changes: columns, spans, durations, each agent's compatible tasks and each
 task's direct predecessors as bitmasks (``derive_precedence``'s sets), and
-the initial layout (``JobSpec.layout``'s, through ``Board.from_spec``). A
-``GameState`` holds the layout as ``board.py`` defines it (``cells`` and
-``rows``), each agent's task index (-1 when idle) and finish clock, the
-clock, a bitmask of the completed tasks, and the index of the agent to act
-next (-1 once the epoch is closed). Nothing else is stored, because the
-rest follows: a stone taken this epoch has left the layout, and the
-agents that declined this epoch are the idle ones before the pending
-agent. The rules and every caller read these fields directly; ``board``
-is a ``Board`` view of the layout, built on each access. ``transition``
-is the one step function: it acts for the pending agent and closes the
-epoch when that agent was the last to act. States are never changed once
-made: a pick copies its state's lists once, and a decline shares the
-layout with the state it came from.
+whether the initial layout (``JobSpec.layout``) is at its gravity
+fixpoint. A ``GameState`` holds the layout as ``board.py`` defines it
+(``cells`` alone: a stone's row is its cell index ``// width``), each
+agent's task index (-1 when idle) and finish clock, the clock, a bitmask
+of the completed tasks, and the index of the agent to act next (-1 once
+the epoch is closed). Nothing else is stored, because the rest follows: a
+stone taken this epoch has left the layout, and the agents that declined
+this epoch are the idle ones before the pending agent. The rules and every
+caller read these fields directly; ``board`` is a ``Board`` view of the
+layout, built on each access. ``transition`` is the one step function: it
+acts for the pending agent and closes the epoch when that agent was the
+last to act. States are never changed once made: a pick copies its state's
+lists once, and a decline shares the layout with the state it came from.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ class JobContext:
         job.duration = tuple(t.duration for t in tasks)
         job.picks = tuple(AgentAction(t.id) for t in tasks)  # each task's pick action
         job.full = (1 << len(tasks)) - 1  # the mask of all tasks
-        # the initial layout, and whether it is at its gravity fixpoint
-        job.cells, job.rows, job.settled = tuple(start.cells), tuple(start.rows), start.settled
+        job.settled = start.settled  # whether the initial layout is at its gravity fixpoint
         # per agent, the mask of the tasks it may do
         human = sum(1 << i for i, kind in enumerate(start.kinds) if kind != ROBOT_ONLY)
         robot = sum(1 << i for i, kind in enumerate(start.kinds) if kind != HUMAN_ONLY)
@@ -132,7 +131,6 @@ class GameState:
 
     job: JobContext
     cells: list[int]  # task index per cell, row 0 first, -1 when empty
-    rows: list[int]  # row per task, -1 once picked
     doing: list[int]  # task index per agent, -1 when idle
     finish: list[int]  # clock at which each busy agent's task completes
     clock: int
@@ -144,14 +142,14 @@ class GameState:
 
     def copy(self) -> "GameState":
         return GameState(
-            self.job, self.cells[:], self.rows[:], self.doing[:], self.finish[:], self.clock,
+            self.job, self.cells[:], self.doing[:], self.finish[:], self.clock,
             self.completed_mask, self.pending,
         )
 
     @property
     def board(self) -> Board:
         """A view of this state's layout."""
-        return Board(self.job, self.cells, self.rows, _settled(self))
+        return Board(self.job, self.cells, _settled(self))
 
 
 def _settled(state: GameState) -> bool:
@@ -173,7 +171,7 @@ def initial_state(spec: JobSpec, strict: bool = True) -> GameState:
     if job is None or job.spec is not spec or job.strict != strict:
         job = _last_context = JobContext.build(spec, strict=strict)
     agents = len(job.roster)
-    return GameState(job, list(job.cells), list(job.rows), [-1] * agents, [0] * agents, 0, 0, 0)
+    return GameState(job, spec.layout(), [-1] * agents, [0] * agents, 0, 0, 0)
 
 
 def is_terminal(state: GameState) -> bool:
@@ -249,22 +247,21 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         # the layout is shared; doing and finish are copied so that an
         # epoch close can advance the new state in place
         nxt = GameState(
-            job, state.cells, state.rows, doing[:], state.finish[:], state.clock,
+            job, state.cells, doing[:], state.finish[:], state.clock,
             state.completed_mask, _first_idle(doing, p + 1),
         )
     else:
         t = job.index.get(action.task)
         done = state.completed_mask
-        if t is None or state.rows[t] != 0 or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
+        cells = state.cells
+        if t is None or cells[job.col[t]] != t or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-        cells, rows, doing, finish = state.cells[:], state.rows[:], state.doing[:], state.finish[:]
+        cells, doing, finish = cells[:], state.doing[:], state.finish[:]
         settled = job.settled or done != 0 or max(doing) >= 0  # _settled(state), inlined
-        cascade(cells, rows, job.col, job.span, job.width, t, settled)
+        cascade(cells, job.col, job.span, job.width, t, settled)
         doing[p] = t
         finish[p] = state.clock + job.duration[t]
-        nxt = GameState(
-            job, cells, rows, doing, finish, state.clock, done, _first_idle(doing, p + 1)
-        )
+        nxt = GameState(job, cells, doing, finish, state.clock, done, _first_idle(doing, p + 1))
     doing, finish = nxt.doing, nxt.finish
     if nxt.pending >= 0 or max(doing) < 0:
         return nxt, 0, False

@@ -46,12 +46,6 @@ class Task:
     row: int         # row, 0-based from the bottom
     span: int = 1    # columns covered
 
-    def cells(self):
-        return [(self.row, c) for c in range(self.col, self.col + self.span)]
-
-    def columns(self):
-        return range(self.col, self.col + self.span)
-
 
 @dataclass(frozen=True)
 class JobSpec:

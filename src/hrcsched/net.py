@@ -286,8 +286,7 @@ def loss_and_gradients(params, batch, l2: float = 1e-4):
     blocks, conv_out_shape, flat, h1, _ = saved
     bsz = len(zs)
 
-    grads = {k: np.zeros_like(t) for k, t in params.items()}
-
+    grads = {}
     dlogits = (p - pis) / bsz
     grads["policy_w"] = h1.T @ dlogits
     grads["policy_b"] = dlogits.sum(axis=0)
@@ -323,9 +322,8 @@ def loss_and_gradients(params, batch, l2: float = 1e-4):
         grads[f"conv{i}_b"] = dz.sum(axis=(0, 1, 2))
         da = da_in
 
-    for k, t in params.items():
-        grads[k] = grads[k] + 2.0 * l2 * t
-    return total, ce, mse, grads
+    # in params order, which clip_gradients sums the norm in
+    return total, ce, mse, {k: grads[k] + 2.0 * l2 * t for k, t in params.items()}
 
 
 def gradients(params, batch, l2: float = 1e-4) -> dict[str, np.ndarray]:
@@ -358,14 +356,10 @@ def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
             f"input {height}x{width}"
         )
     x = np.zeros((height, width, len(CHANNEL_OF_KIND)))
-    kinds, col, span = job.kinds, job.col, job.span
-    for t, row in enumerate(state.rows):
-        if row >= 0:
-            c = col[t]
-            if span[t] == 1:  # a scalar store costs far less than a slice
-                x[row, c, CHANNEL_OF_KIND[kinds[t]]] = 1.0
-            else:
-                x[row, c : c + span[t], CHANNEL_OF_KIND[kinds[t]]] = 1.0
+    kinds, w = job.kinds, job.width
+    for k, t in enumerate(state.cells):
+        if t >= 0:
+            x[k // w, k % w, CHANNEL_OF_KIND[kinds[t]]] = 1.0
     return x
 
 
@@ -495,9 +489,9 @@ class NetEvaluator:
     is in use. Each evaluation only encodes the state and runs the forward
     pass; its result equals ``forward``'s bit for bit.
 
-    Evaluations are cached per job and board layout: the encoding only sees
-    which stones remain and where, so states differing in clocks or
-    remaining times share one forward pass.
+    Evaluations are cached per job and layout, the state's ``cells``: the
+    encoding reads nothing else of the state, so states differing in clocks
+    or remaining times share one forward pass.
     """
 
     def __init__(self, params, height: int, width: int):
@@ -507,8 +501,6 @@ class NetEvaluator:
         self._cache: dict = {}
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
-        # a stone's column and span never change, so the layout fixes which
-        # stones remain and their rows
         key = (state.job, tuple(state.cells))
         hit = self._cache.get(key)
         if hit is not None:

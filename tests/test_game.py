@@ -257,7 +257,6 @@ def snapshot(state):
     """Everything a transition could change, copied out of the state."""
     return (
         state.cells[:],
-        state.rows[:],
         state.doing[:],
         state.finish[:],
         state.clock,

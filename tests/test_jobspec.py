@@ -186,12 +186,6 @@ def test_precedence_uses_nearest_stone_only():
     assert prec["high"] == frozenset({"low"})
 
 
-def test_task_helpers():
-    t = Task("x", EITHER, 2, col=1, row=3, span=2)
-    assert t.cells() == [(3, 1), (3, 2)]
-    assert list(t.columns()) == [1, 2]
-
-
 def test_jobspec_task_lookup():
     spec = parse_jobspec(TINY_TEXT)
     with pytest.raises(KeyError):
@@ -232,7 +226,7 @@ def test_random_instances_are_valid():
         assert isinstance(spec, JobSpec)
         assert any(t.row == 0 for t in spec.tasks)
         # settled: every stone rests on row 0 or on another stone
-        cells = {cell for t in spec.tasks for cell in t.cells()}
+        cells = {(t.row, c) for t in spec.tasks for c in range(t.col, t.col + t.span)}
         for t in spec.tasks:
             if t.row > 0:
-                assert any((t.row - 1, c) in cells for c in t.columns())
+                assert any((t.row - 1, c) in cells for c in range(t.col, t.col + t.span))

@@ -87,6 +87,15 @@ def test_board_is_at_a_gravity_fixpoint_after_every_pick(job, seed):
 
     def settled(state):
         assert state.board.is_gravity_fixpoint()
+        # every stone fills exactly the span cells from its column, in one row
+        job, w = state.job, state.job.width
+        where: dict[int, list[int]] = {}
+        for k, t in enumerate(state.cells):
+            if t >= 0:
+                where.setdefault(t, []).append(k)
+        for t, ks in where.items():
+            base = ks[0] // w * w
+            assert ks == [base + c for c in range(job.col[t], job.col[t] + job.span[t])]
 
     random_episode(spec, strict, seed, settled)
 
@@ -123,11 +132,11 @@ def test_predecessor_masks_follow_derive_precedence(job):
 def reference_precedence(spec):
     """``derive_precedence`` written apart from the flat layout: for each
     column a task covers, the nearest stone below it, found by row."""
-    occupied = {cell: t.id for t in spec.tasks for cell in t.cells()}
+    occupied = {(t.row, c): t.id for t in spec.tasks for c in range(t.col, t.col + t.span)}
     result = {}
     for t in spec.tasks:
         preds = set()
-        for c in t.columns():
+        for c in range(t.col, t.col + t.span):
             for r in range(t.row - 1, -1, -1):
                 below = occupied.get((r, c))
                 if below is not None:
