@@ -186,13 +186,6 @@ class Board:
     def copy(self) -> "Board":
         return Board(self, self.cells[:], self.settled)
 
-    def __contains__(self, task_id: str) -> bool:
-        i = self.index.get(task_id)
-        return i is not None and i in self.cells
-
-    def __len__(self) -> int:
-        return len(set(self.cells) - {-1})
-
     def _rows(self) -> list[int]:
         """Each task's row, read off its cells; -1 once removed."""
         rows = [-1] * len(self.ids)

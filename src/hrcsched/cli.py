@@ -134,7 +134,7 @@ def _resolve_seed(args) -> int:
 
 def _load_spec(path) -> JobSpec:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(3, f"cannot read jobspec: {exc}")

@@ -311,10 +311,6 @@ class EpisodeRecord:
     makespan: int  # the clock at the end of play, a stopped episode's included
     schedule: dict[Agent, list[tuple[str, int, int]]]
 
-    @property
-    def total_reward(self) -> int:
-        return sum(self.rewards)
-
 
 def play(
     spec: JobSpec,

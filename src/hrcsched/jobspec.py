@@ -59,18 +59,6 @@ class JobSpec:
     def __post_init__(self):
         _validate(self)
 
-    def task(self, task_id: str) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
-    def kind_counts(self) -> dict[str, int]:
-        counts = {k: 0 for k in TASK_KINDS}
-        for t in self.tasks:
-            counts[t.kind] += 1
-        return counts
-
     def total_duration(self) -> int:
         return sum(t.duration for t in self.tasks)
 

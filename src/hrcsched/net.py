@@ -28,6 +28,7 @@ POOL = 2
 CHANNEL_OF_KIND = {"H": 0, "R": 1, "E": 2}
 FILTERS = (10, 10)  # output channels of each convolution block
 DENSE_UNITS = 128
+L2 = 1e-4  # weight of the squared-weight penalty in the loss
 
 
 class CheckpointError(Exception):
@@ -271,16 +272,11 @@ def _batch_loss(params, batch, l2: float):
     return (ce + mse + reg, ce, mse), (pis, zs, p, v, saved)
 
 
-def loss_components(params, batch, l2: float = 1e-4) -> tuple[float, float, float]:
-    """(total loss, mean policy cross-entropy, mean value squared error)."""
-    return _batch_loss(params, batch, l2)[0]
+def loss(params, batch, l2: float = L2) -> float:
+    return _batch_loss(params, batch, l2)[0][0]
 
 
-def loss(params, batch, l2: float = 1e-4) -> float:
-    return loss_components(params, batch, l2)[0]
-
-
-def loss_and_gradients(params, batch, l2: float = 1e-4):
+def loss_and_gradients(params, batch, l2: float = L2):
     """Analytic gradients of the combined loss for one minibatch."""
     (total, ce, mse), (pis, zs, p, v, saved) = _batch_loss(params, batch, l2)
     blocks, conv_out_shape, flat, h1, _ = saved
@@ -326,7 +322,7 @@ def loss_and_gradients(params, batch, l2: float = 1e-4):
     return total, ce, mse, {k: grads[k] + 2.0 * l2 * t for k, t in params.items()}
 
 
-def gradients(params, batch, l2: float = 1e-4) -> dict[str, np.ndarray]:
+def gradients(params, batch, l2: float = L2) -> dict[str, np.ndarray]:
     return loss_and_gradients(params, batch, l2)[3]
 
 

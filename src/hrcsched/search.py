@@ -54,7 +54,6 @@ class SearchNode:
     state: GameState
     depth: int  # epochs advanced since the episode root; limits apply relative to the current root
     edges: list[Edge] | None = None  # None until expanded
-    visits: int = 0
     # the state's status, set once: a node's state is never mutated
     terminal: bool = field(init=False)
     stalled: bool = field(init=False)
@@ -64,8 +63,9 @@ class SearchNode:
         self.stalled = not self.terminal and is_stalled(self.state)
 
     @property
-    def expanded(self) -> bool:
-        return self.edges is not None
+    def visits(self) -> int:
+        """N(s), the sum of the edges' visits; 0 before expansion."""
+        return sum(e.visits for e in self.edges) if self.edges else 0
 
 
 def _edge_order_key(edge: Edge, state: GameState):
@@ -83,6 +83,7 @@ def select_edge(node: SearchNode, c_puct: float) -> Edge:
     them.
     """
     edges = node.edges
+    # node.visits summed inline: this runs once per step of every simulation
     sqrt_total = math.sqrt(sum([e.visits for e in edges]))
     best = None
     best_score = 0.0
@@ -155,11 +156,10 @@ def backup(path: list[tuple[SearchNode, Edge]], leaf_value: float) -> None:
     onwards plus the leaf value, all undiscounted.
     """
     value = leaf_value
-    for node, edge in reversed(path):
+    for _, edge in reversed(path):
         value += edge.reward
         edge.visits += 1
         edge.total_value += value
-        node.visits += 1
 
 
 def _child(node: SearchNode, edge: Edge) -> SearchNode:
@@ -193,7 +193,7 @@ class SearchTree:
         action is answered immediately.
         """
         cfg = self.config
-        if not self.root.expanded:
+        if self.root.edges is None:
             expand_and_evaluate(self.root, self.evaluator)
         if self.root.terminal:
             raise ValueError("cannot search from a terminal state")
@@ -203,7 +203,7 @@ class SearchTree:
         for _ in range(cfg.simulations):
             self._simulate()
 
-        total = sum(e.visits for e in self.root.edges)
+        total = self.root.visits
         if total == 0:
             policy = [(e.action, e.prior) for e in self.root.edges]
         else:
@@ -250,7 +250,7 @@ class SearchTree:
 
     def advance_root(self, action: AgentAction) -> None:
         """Keep the subtree behind the action taken; drop everything else."""
-        if not self.root.expanded:
+        if self.root.edges is None:
             expand_and_evaluate(self.root, self.evaluator)
         for edge in self.root.edges:
             if edge.action == action:

@@ -20,6 +20,7 @@ from .jobspec import JobSpec
 from .net import (
     DENSE_UNITS,
     FILTERS,
+    L2,
     NetEvaluator,
     TrainingExample,
     encode_state,
@@ -112,7 +113,7 @@ class TrainingConfig:
     batch_size: int = 32
     learning_rate: float = 0.01
     momentum: float = 0.9
-    l2: float = 1e-4
+    l2: float = L2
     max_grad_norm: float = 10.0
     capacity: int = 5000
     temperature_moves: int = 4
@@ -134,7 +135,9 @@ def generate_episode(
     decisions into training examples.
 
     Examples are produced when the evaluator exposes its input height and
-    width; a decision whose visits all went to NoOp produces none.
+    width; a decision whose visits all went to NoOp produces none. Each
+    example is padded to the evaluator's size: its input by ``encode_state``,
+    its column policy here, with zeros to the right of the job's width.
     """
     record = play(spec, search_chooser(evaluator, search_config, temperature_moves), seed, strict)
     if not (hasattr(evaluator, "height") and hasattr(evaluator, "width")):
@@ -142,7 +145,7 @@ def generate_episode(
     examples = [
         TrainingExample(
             x=encode_state(d.state, evaluator.height, evaluator.width),
-            policy=d.policy,
+            policy=np.pad(d.policy, (0, evaluator.width - d.policy.size)),
             value=float(d.state.clock - record.makespan),
         )
         for d in record.decisions

@@ -14,8 +14,8 @@ def make_board(text: str) -> Board:
 
 def test_from_spec_and_lookup():
     board = make_board("board 2 2\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1 2\n")
-    assert "a" in board and "b" in board and "c" not in board
-    assert len(board) == 2
+    assert "a" in board.stones and "b" in board.stones and "c" not in board.stones
+    assert len(board.stones) == 2
     assert board.grid[0] == ["a", None]
     assert board.grid[1] == ["b", "b"]
 
@@ -114,7 +114,7 @@ def test_copy_is_independent():
     board = make_board("board 1 2\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\n")
     dup = board.copy()
     board.remove_and_cascade("a")
-    assert "a" in dup
+    assert "a" in dup.stones
     assert dup.stones["b"].row == 1
     assert board.stones["b"].row == 0
 
@@ -134,7 +134,7 @@ def test_cascade_reaches_fixpoint_on_random_instances():
         while board.bottom_row_tasks():
             board.remove_and_cascade(board.bottom_row_tasks()[0])
             assert board.is_gravity_fixpoint()
-        assert len(board) == 0
+        assert len(board.stones) == 0
 
 
 class ReferenceBoard:

@@ -257,6 +257,16 @@ def test_undecodable_file_exits_with_its_code(flag, code, message, tiny_path, tm
     assert message in capsys.readouterr().err
 
 
+def test_jobspec_with_a_byte_order_mark_is_read(tiny_path, tmp_path, capsys):
+    marked = tmp_path / "marked.job"
+    marked.write_bytes(b"\xef\xbb\xbf" + TINY_TEXT.encode())  # as Windows editors save it
+    schedules = []
+    for name, path in (("plain", tiny_path), ("marked", str(marked))):
+        assert run_cli(["solve", "--jobspec", path, "--out", str(tmp_path / name)]) == 0
+        schedules.append((tmp_path / name / "schedule.csv").read_bytes())
+    assert schedules[0] == schedules[1]
+
+
 def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     desk = desk_fixture()
     job = tmp_path / "desk.job"

@@ -167,7 +167,7 @@ def test_run_episode_greedy_trace():
     record = run_episode(parse_jobspec(TINY_TEXT), first_pick, seed=0)
     assert record.makespan == 7
     assert record.rewards == [-2, -2, -3]
-    assert record.total_reward == -7
+    assert sum(record.rewards) == -7
     assert record.schedule[H1] == [("A", 0, 2)]
     assert record.schedule[R1] == [("C", 0, 4), ("B", 4, 7)]
     # a plain chooser gives no policy
@@ -225,7 +225,7 @@ def test_rewards_sum_to_negative_makespan():
     for seed in range(40):
         spec = random_instance(seed)
         record = run_episode(spec, random_pick, seed=seed)
-        assert record.total_reward == -record.makespan
+        assert sum(record.rewards) == -record.makespan
         assert all(r <= 0 for r in record.rewards)
 
 
@@ -233,12 +233,13 @@ def test_schedules_are_consistent():
     for seed in range(40):
         spec = random_instance(seed)
         record = run_episode(spec, random_pick, seed=seed * 7 + 1)
+        durations = {t.id: t.duration for t in spec.tasks}
         done = []
         for agent, rows in record.schedule.items():
             for prev, cur in zip(rows, rows[1:]):
                 assert prev[2] <= cur[1]
             for task, start, end in rows:
-                assert end - start == spec.task(task).duration
+                assert end - start == durations[task]
                 assert 0 <= start < end <= record.makespan
                 done.append(task)
         assert sorted(done) == sorted(t.id for t in spec.tasks)

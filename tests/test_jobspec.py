@@ -22,12 +22,13 @@ def test_parse_tiny():
     assert (spec.width, spec.height) == (2, 2)
     assert (spec.humans, spec.robots) == (1, 1)
     assert [t.id for t in spec.tasks] == ["A", "B", "C"]
-    assert spec.task("A").kind == HUMAN_ONLY
-    assert spec.task("B").duration == 3
+    a, b, c = spec.tasks
+    assert a.kind == HUMAN_ONLY
+    assert b.duration == 3
     # B sits on top of A; C is on the bottom row beside A
-    assert spec.task("B").row == 1
-    assert (spec.task("C").col, spec.task("C").row) == (1, 0)
-    assert spec.task("C").span == 1
+    assert b.row == 1
+    assert (c.col, c.row) == (1, 0)
+    assert c.span == 1
 
 
 def test_parse_comments_blanks_and_optional_span():
@@ -41,8 +42,7 @@ def test_parse_comments_blanks_and_optional_span():
         task b E 2 0 1 2
         """
     )
-    assert spec.task("a").span == 1
-    assert spec.task("b").span == 2
+    assert [t.span for t in spec.tasks] == [1, 2]
     assert spec.robots == 0
 
 
@@ -186,18 +186,13 @@ def test_precedence_uses_nearest_stone_only():
     assert prec["high"] == frozenset({"low"})
 
 
-def test_jobspec_task_lookup():
-    spec = parse_jobspec(TINY_TEXT)
-    with pytest.raises(KeyError):
-        spec.task("missing")
-
-
 def test_desk_fixture_shape():
     spec = desk_fixture()
     assert (spec.width, spec.height) == (8, 15)
     assert (spec.humans, spec.robots) == (1, 1)
     assert len(spec.tasks) == 50
-    assert spec.kind_counts() == {HUMAN_ONLY: 19, ROBOT_ONLY: 27, EITHER: 4}
+    kinds = [t.kind for t in spec.tasks]
+    assert [kinds.count(k) for k in (HUMAN_ONLY, ROBOT_ONLY, EITHER)] == [19, 27, 4]
     assert spec.total_duration() == 269
 
 

@@ -19,6 +19,7 @@ from hrcsched import (
     load_checkpoint,
     loads_checkpoint,
     loss,
+    loss_and_gradients,
     parse_jobspec,
     run_episode,
     save_checkpoint,
@@ -304,9 +305,7 @@ def test_gradient_check_against_finite_differences():
 def test_loss_decomposition():
     params = small_params()
     batch = small_batch()
-    from hrcsched.net import loss_components
-
-    total, ce, mse = loss_components(params, batch, l2=0.0)
+    total, ce, mse, _ = loss_and_gradients(params, batch, l2=0.0)
     assert total == pytest.approx(ce + mse)
     reg_total = loss(params, batch, l2=1e-4)
     weight_norm = sum(float((t * t).sum()) for t in params.values())

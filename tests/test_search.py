@@ -167,10 +167,10 @@ def test_node_flags_match_state_over_random_play():
 
 
 def test_backup_adds_reward_from_each_edge_onward():
-    n0 = make_node([])
-    n1 = make_node([])
     e0 = Edge(action=pick("A"), prior=1.0, reward=-1)
     e1 = Edge(action=pick("C"), prior=1.0, reward=-2)
+    n0 = make_node([e0])
+    n1 = make_node([e1])
     backup([(n0, e0), (n1, e1)], leaf_value=-5.0)
     assert e1.visits == 1 and e1.total_value == -7.0
     assert e0.visits == 1 and e0.total_value == -8.0

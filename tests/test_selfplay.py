@@ -128,7 +128,7 @@ def test_generate_episode_examples():
     record, examples = generate_episode(
         spec, tiny_net_evaluator(), SearchConfig(simulations=20), seed=4
     )
-    assert record.total_reward == -record.makespan
+    assert sum(record.rewards) == -record.makespan
     assert examples
     assert len(examples) <= len(record.decisions)
     for e in examples:
@@ -141,6 +141,21 @@ def test_generate_episode_examples():
     assert [e.value for e in examples] == [c - record.makespan for c in clocks]
     # the first decision sees the full makespan
     assert examples[0].value == -record.makespan
+
+
+def test_examples_from_a_padded_evaluator_train():
+    # a 4x5 network on the 2x2 job: input and policy are both padded to 5 columns
+    spec = parse_jobspec(TINY_TEXT)
+    params = init_params(4, 5, filters=(4,), dense_units=8)
+    evaluator = NetEvaluator(params, 4, 5)
+    record, examples = generate_episode(spec, evaluator, SearchConfig(simulations=20), seed=4)
+    assert examples
+    narrow = [d.policy for d in record.decisions if d.policy.sum() > 0]
+    for e, policy in zip(examples, narrow):
+        assert e.x.shape == (4, 5, 3)
+        assert e.policy.tolist() == policy.tolist() + [0.0, 0.0, 0.0]
+    trained, ce, mse = train_iteration(examples, params, TrainingConfig(epochs=1))
+    assert trained.keys() == params.keys() and ce > 0.0 and mse > 0.0
 
 
 def test_generate_episode_without_dims_gives_no_examples():
