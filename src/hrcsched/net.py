@@ -11,10 +11,16 @@ least 2x2, and a block is dropped entirely when the map got too small for
 its convolution, so the same code serves the full-size board and the tiny
 boards used in tests. Layer structure is recoverable from parameter names
 and shapes alone, which keeps the checkpoint format flat.
+
+Training runs ``_conv2d`` on every block. ``NetEvaluator`` reads the first
+block's output from a table over the 256 inputs a 2x2 kernel can see on
+a one-hot map, and runs ``_forward`` from the second block on; its results
+equal ``forward``'s bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +32,11 @@ from .game import GameState
 KERNEL = 2
 POOL = 2
 CHANNEL_OF_KIND = {"H": 0, "R": 1, "E": 2}
+_EMPTY = len(CHANNEL_OF_KIND)  # the kind code of an empty cell
+_ONE_HOT = np.eye(_EMPTY + 1, _EMPTY)  # a cell's input planes, by kind code
+# A 2x2 window holding kind codes a, b, c, d at offsets (0, 0), (0, 1),
+# (1, 0), (1, 1) is window number 64a + 16b + 4c + d.
+_PLACE_VALUES = (_EMPTY + 1) ** np.arange(KERNEL**2 - 1, -1, -1)
 FILTERS = (10, 10)  # output channels of each convolution block
 DENSE_UNITS = 128
 L2 = 1e-4  # weight of the squared-weight penalty in the loss
@@ -133,7 +144,8 @@ def _conv2d(x: np.ndarray, wmat: np.ndarray, b: np.ndarray) -> np.ndarray:
     offsets. Each output cell then adds the products of the four cells
     under the kernel, offsets in the order (0, 0), (0, 1), (1, 0), (1, 1),
     and the bias last: the same sums in the same order as one matmul per
-    offset, so the result is the same bit for bit.
+    offset, so the result is the same bit for bit. ``NetEvaluator``'s table
+    of the first block adds in this order too.
     """
     bsz, h, wd, ch = x.shape
     y = (x.reshape(-1, ch) @ wmat).reshape(bsz, h, wd, KERNEL * KERNEL, -1)
@@ -213,8 +225,9 @@ def _forward(net, x: np.ndarray):
     Returns (p, raw v, what backprop needs). The last is a tuple: the
     input, ReLU output and pool-after flag of each conv layer, the shape of
     the last conv block's output, the flattened features, the dense layer's
-    ReLU output and the policy's log-probabilities. Training and
-    ``NetEvaluator`` both run this one routine.
+    ReLU output and the policy's log-probabilities. Training runs it on
+    the one-hot input; ``NetEvaluator`` runs it from the second block on,
+    on the first block's output read from its table.
     """
     layers, dense_w, dense_b, policy_w, policy_b, value_w, value_b = net
     blocks = []
@@ -339,24 +352,51 @@ def sgd_step(params, grads, lr: float, momentum: float, velocity=None):
     return new_params, new_velocity
 
 
-def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
-    """One-hot kind occupancy of the stones still on the board.
+@functools.lru_cache(maxsize=1)  # a process encodes one job's states many times in a row
+def _kind_codes(job) -> np.ndarray:
+    """Each task's kind code, its ``CHANNEL_OF_KIND`` channel, then
+    ``_EMPTY`` last, where an empty cell's task index -1 reads."""
+    codes = np.array([CHANNEL_OF_KIND[k] for k in job.kinds] + [_EMPTY])
+    codes.flags.writeable = False
+    return codes
 
-    Channel 0 human-only, 1 robot-only, 2 either. Smaller boards sit in the
-    bottom-left corner with zero padding above and to the right.
-    """
+
+def _kind_grid(state: GameState, height: int, width: int) -> np.ndarray:
+    """The kind code of every cell, height x width. A smaller board sits in
+    the bottom-left corner, with empty cells above and to the right."""
     job = state.job
     if job.height > height or job.width > width:
         raise ValueError(
             f"board {job.height}x{job.width} exceeds the configured "
             f"input {height}x{width}"
         )
-    x = np.zeros((height, width, len(CHANNEL_OF_KIND)))
-    kinds, w = job.kinds, job.width
-    for k, t in enumerate(state.cells):
-        if t >= 0:
-            x[k // w, k % w, CHANNEL_OF_KIND[kinds[t]]] = 1.0
-    return x
+    codes = _kind_codes(job)[state.cells].reshape(job.height, job.width)
+    if codes.shape == (height, width):
+        return codes
+    grid = np.full((height, width), _EMPTY)
+    grid[: job.height, : job.width] = codes
+    return grid
+
+
+def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
+    """One-hot kind occupancy of the stones still on the board.
+
+    Channel 0 human-only, 1 robot-only, 2 either. Smaller boards sit in the
+    bottom-left corner with zero padding above and to the right.
+    """
+    return _ONE_HOT[_kind_grid(state, height, width)]
+
+
+@functools.lru_cache(maxsize=1)  # a process evaluates one input size many times in a row
+def _kernel_windows(height: int, width: int) -> np.ndarray:
+    """For each output cell of a valid 2x2 convolution over height x width
+    inputs, the flat indices of the four input cells under its kernel, in
+    ``_conv2d``'s offset order."""
+    corners = np.arange(height - KERNEL + 1)[:, None] * width + np.arange(width - KERNEL + 1)
+    offsets = (np.arange(KERNEL)[:, None] * width + np.arange(KERNEL)).ravel()
+    windows = corners[..., None] + offsets
+    windows.flags.writeable = False
+    return windows
 
 
 CHECKPOINT_HEADER = "HRCNET v1"
@@ -482,11 +522,21 @@ class NetEvaluator:
 
     The weights are checked against the input size and the conv kernels
     laid out once, here, so ``params`` must not change while the evaluator
-    is in use. Each evaluation only encodes the state and runs the forward
-    pass; its result equals ``forward``'s bit for bit.
+    is in use. Its results equal ``forward``'s on ``encode_state`` bit for
+    bit.
+
+    The first conv block is read from a table. Its input is one-hot, so its
+    output at a cell depends only on the four kind codes under the kernel:
+    4^4 = 256 windows. The table holds the block's ReLU output for each. A
+    one-hot row times the kernel gives the kernel's row exactly, and each
+    entry adds those rows and the bias in ``_conv2d``'s order, so it equals
+    ``_conv2d``'s output bit for bit. An evaluation maps the layout to kind
+    codes, reads one row per output cell, pools, and runs ``_forward`` from
+    the second block on. A net with no conv block runs ``_forward`` on
+    ``encode_state``.
 
     Evaluations are cached per job and layout, the state's ``cells``: the
-    encoding reads nothing else of the state, so states differing in clocks
+    input reads nothing else of the state, so states differing in clocks
     or remaining times share one forward pass.
     """
 
@@ -494,14 +544,36 @@ class NetEvaluator:
         self.height = height
         self.width = width
         self._net = _prepare(params, height, width, len(CHANNEL_OF_KIND))
+        self._table = None
         self._cache: dict = {}
+        if self._net[0]:
+            (wmat, bias, self._pooled), *rest = self._net[0]
+            self._net = (tuple(rest), *self._net[1:])  # the second block on
+            # y[code, offset] is what _conv2d's matmul gives a cell of that
+            # code at that offset, and table[a, b, c, d] adds y[a, 0],
+            # y[b, 1], y[c, 2], y[d, 3] and the bias in _conv2d's order
+            y = (_ONE_HOT @ wmat).reshape(_EMPTY + 1, KERNEL * KERNEL, -1)
+            table = y[:, None, 0] + y[:, 1]
+            table = table[:, :, None] + y[:, 2]
+            table = table[:, :, :, None] + y[:, 3]
+            table += bias
+            table = table.reshape(-1, table.shape[-1])  # by window number
+            self._table = np.maximum(table, 0.0, out=table)
+            self._windows = _kernel_windows(height, width)
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
         key = (state.job, tuple(state.cells))
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        p, v, _ = _forward(self._net, encode_state(state, self.height, self.width)[None])
+        if self._table is None:
+            x = encode_state(state, self.height, self.width)[None]
+        else:
+            codes = _kind_grid(state, self.height, self.width).ravel()
+            x = self._table[codes[self._windows] @ _PLACE_VALUES][None]
+            if self._pooled:
+                x = _maxpool(x)
+        p, v, _ = _forward(self._net, x)
         result = self._cache[key] = (p[0], float(min(v[0], 0.0)))
         return result
 

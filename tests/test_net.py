@@ -7,6 +7,7 @@ from hrcsched import (
     CheckpointError,
     NOOP,
     NetEvaluator,
+    TrainingConfig,
     TrainingExample,
     UniformEvaluator,
     desk_fixture,
@@ -24,9 +25,11 @@ from hrcsched import (
     run_episode,
     save_checkpoint,
     sgd_step,
+    train_iteration,
     transition,
 )
 from hrcsched.net import (
+    FILTERS,
     KERNEL,
     POOL,
     _conv2d,
@@ -513,23 +516,103 @@ def with_random_biases(params, seed):
     return {k: rng.standard_normal(t.shape) if k.endswith("_b") else t for k, t in params.items()}
 
 
+def loop_encoding(state, height, width):
+    """The one-hot input cell by cell: the reference for ``encode_state``."""
+    x = np.zeros((height, width, 3))
+    job = state.job
+    for k, t in enumerate(state.cells):
+        if t >= 0:
+            x[k // job.width, k % job.width, "HRE".index(job.kinds[t])] = 1.0
+    return x
+
+
+# One row: it fits a net with no conv block.
+ROW_TEXT = """\
+board 3 1
+agents 1 1
+task a H 2 0 0
+task b R 3 1 0
+task c E 1 2 0
+"""
+
+# W and X float over empty cells until the first pick settles the board.
+FLOATING_TEXT = """\
+board 3 4
+agents 1 1
+task A E 2 0 0
+task B H 4 2 0
+task W H 3 1 2 2
+task X R 1 0 3
+"""
+
+# input size and filters: no conv block, one unpooled block, one pooled
+# block, and the desk's two pooled blocks
+NETS = [((1, 3), FILTERS), ((2, 2), FILTERS), ((4, 3), (4,)), ((15, 8), FILTERS)]
+
+
+def trained_on_desk(params, size):
+    """``params`` after one ``train_iteration`` on random desk episodes."""
+    desk = desk_fixture()
+    examples = []
+    for seed in range(2):
+        record = run_episode(desk, random_pick, seed=seed)
+        examples += [
+            TrainingExample(
+                x=encode_state(d.state, *size),
+                policy=np.full(size[1], 1.0 / size[1]),
+                value=float(d.state.clock - record.makespan),
+            )
+            for d in record.decisions
+        ]
+    return train_iteration(examples, params, TrainingConfig(epochs=1))[0]
+
+
 @pytest.mark.parametrize("weights_seed", [0, 1])
 def test_evaluator_miss_equals_forward_exactly(weights_seed):
-    desk = desk_fixture()
-    tiny = parse_jobspec(TINY_TEXT)
-    cases = [(desk, s) for s in range(6)] + [(tiny, s) for s in range(3)]
-    for size in [(desk.height, desk.width), (tiny.height, tiny.width)]:
-        params = with_random_biases(init_params(*size, seed=weights_seed), weights_seed + 10)
-        for spec, seed in cases:
-            if spec.height > size[0]:
-                continue  # the desk does not fit the tiny net's input
-            record = run_episode(spec, random_pick, seed=seed)
-            ev = NetEvaluator(params, *size)
-            for decision in record.decisions:
-                p, v = ev(decision.state)
-                want = forward(params, encode_state(decision.state, *size))
-                assert np.array_equal(p, want.p)
-                assert v == want.v
+    jobs = [
+        (parse_jobspec(ROW_TEXT), True),
+        (parse_jobspec(TINY_TEXT), True),
+        (parse_jobspec(FLOATING_TEXT), False),
+        (desk_fixture(), True),
+    ]
+    checked = set()
+    for size, filters in NETS:
+        params = init_params(*size, filters=filters, seed=weights_seed)
+        variants = [with_random_biases(params, weights_seed + 10)]
+        if size == (15, 8):
+            variants.append(trained_on_desk(params, size))
+        for params in variants:
+            for spec, strict in jobs:
+                if spec.height > size[0] or spec.width > size[1]:
+                    continue
+                checked.add((size, spec))
+                for seed in range(6):
+                    record = run_episode(spec, random_pick, seed=seed, strict=strict)
+                    ev = NetEvaluator(params, *size)
+                    for decision in record.decisions:
+                        p, v = ev(decision.state)
+                        x = loop_encoding(decision.state, *size)
+                        assert encode_state(decision.state, *size).tobytes() == x.tobytes()
+                        want = forward(params, x)
+                        # bytes, since == takes -0.0 for 0.0
+                        assert p.tobytes() == want.p.tobytes()
+                        assert np.float64(v).tobytes() == np.float64(want.v).tobytes()
+    assert len(checked) == 1 + 1 + 3 + 4  # the jobs that fit each net, padded or not
+
+
+@pytest.mark.parametrize("size, filters", NETS[:3])
+def test_evaluator_rejects_a_job_larger_than_its_input(size, filters):
+    ev = NetEvaluator(init_params(*size, filters=filters), *size)
+    specs = [parse_jobspec(text) for text in (TINY_TEXT, ROW_TEXT, FLOATING_TEXT)]
+    larger = [s for s in specs + [desk_fixture()] if s.height > size[0] or s.width > size[1]]
+    assert larger
+    for spec in larger:
+        state = initial_state(spec)
+        with pytest.raises(ValueError) as want:
+            encode_state(state, *size)
+        with pytest.raises(ValueError, match="exceeds the configured input") as got:
+            ev(state)
+        assert str(got.value) == str(want.value)
 
 
 def test_uniform_evaluator():
