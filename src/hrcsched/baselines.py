@@ -27,8 +27,8 @@ is still one visit checked against the budget, and is counted as finished,
 stalled or on the frontier, but not expanded. A layout with floating
 stones settles on a route's first pick, as it does in play. The oracle
 keeps this scan and arithmetic of its own rather than stepping with
-``legal_actions`` and ``transition``, which gives the same results at half
-the speed.
+``legal_actions`` and ``transition``, which gives the same results in 1.4
+to 1.6 times the time (400 corpus jobs, seed 101).
 
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.

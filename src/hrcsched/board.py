@@ -153,9 +153,9 @@ def cascade(cells: list[int], col, span, width: int, t: int, settled: bool) -> l
 class Board:
     """One layout over a job's tables.
 
-    A board from ``from_spec`` owns its ``cells``; the board of a game
-    state (``GameState.board``) is a view of the state's list, which states
-    never change and may share, so it is for reading.
+    A board owns its ``cells``: ``from_spec`` copies the job's layout, and
+    the board of a game state (``GameState.board``) copies the state's list,
+    which states never change and may share.
     """
 
     __slots__ = ("width", "height", "ids", "index", "kinds", "col", "span", "cells", "settled")

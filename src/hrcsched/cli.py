@@ -84,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     searchy.add_argument(
         "--c-puct", type=float, default=SearchConfig.c_puct, help="exploration constant"
     )
-    searchy.add_argument("--checkpoint", default=None, help="load network weights from this file")
 
-    p = sub.add_parser("solve", parents=[common, searchy], help="compute one schedule")
+    weighted = argparse.ArgumentParser(add_help=False)
+    weighted.add_argument("--checkpoint", default=None, help="load network weights from this file")
+
+    p = sub.add_parser("solve", parents=[common, searchy, weighted], help="compute one schedule")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("train", parents=[common, searchy], help="run self-play training")
+    p = sub.add_parser("train", parents=[common, searchy], help="self-play from fresh weights")
     p.add_argument("--iterations", type=int, default=TrainingConfig.iterations)
     p.add_argument(
         "--episodes", type=int, default=TrainingConfig.episodes, help="episodes per iteration"
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser(
-        "advise", parents=[common, searchy], help="interactive play: you are the humans"
+        "advise", parents=[common, searchy, weighted], help="interactive play: you are the humans"
     )
     p.set_defaults(func=_cmd_advise)
     return parser
@@ -204,8 +206,6 @@ def _cmd_train(args, spec: JobSpec, seed: int, strict: bool) -> int:
         raise _CliError(2, "--iterations and --episodes must be at least 1")
     if args.temperature_moves < 0:
         raise _CliError(2, "--temperature-moves must not be negative")
-    if args.checkpoint is not None:
-        raise _CliError(2, "train always starts from fresh weights; drop --checkpoint")
     config = TrainingConfig(
         iterations=args.iterations,
         episodes=args.episodes,

@@ -26,9 +26,9 @@ of the completed tasks, and the index of the agent to act next (-1 once
 the epoch is closed). Nothing else is stored, because the rest follows: a
 stone taken this epoch has left the layout, and the agents that declined
 this epoch are the idle ones before the pending agent. The rules and every
-caller read these fields directly; ``board`` is a ``Board`` view of the
-layout, built on each access. ``transition`` is the one step function: it
-acts for the pending agent and closes the epoch when that agent was the
+caller read these fields directly; ``board`` is a ``Board`` over a copy of
+the layout, built on each access. ``transition`` is the one step function:
+it acts for the pending agent and closes the epoch when that agent was the
 last to act. States are never changed once made: a pick copies its state's
 lists once, and a decline shares the layout with the state it came from.
 """
@@ -148,8 +148,8 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """A view of this state's layout."""
-        return Board(self.job, self.cells, _settled(self))
+        """A board over a copy of ``cells``, so changing it leaves the state unchanged."""
+        return Board(self.job, self.cells[:], _settled(self))
 
 
 def _settled(state: GameState) -> bool:

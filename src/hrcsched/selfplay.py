@@ -20,7 +20,6 @@ from .jobspec import JobSpec
 from .net import (
     DENSE_UNITS,
     FILTERS,
-    L2,
     NetEvaluator,
     TrainingExample,
     encode_state,
@@ -33,6 +32,9 @@ from .search import SearchConfig, SearchTree
 
 SEED_ITERATION_STRIDE = 1_009
 SEED_MASTER_STRIDE = 1_000_003
+BATCH_SIZE = 32
+MOMENTUM = 0.9
+MAX_GRAD_NORM = 10.0
 
 
 def episode_seed(master_seed: int, iteration: int, episode: int) -> int:
@@ -110,11 +112,7 @@ class TrainingConfig:
     episodes: int = 10
     search: SearchConfig = field(default_factory=SearchConfig)
     epochs: int = 5
-    batch_size: int = 32
     learning_rate: float = 0.01
-    momentum: float = 0.9
-    l2: float = L2
-    max_grad_norm: float = 10.0
     capacity: int = 5000
     temperature_moves: int = 4
     seed: int = 0
@@ -172,8 +170,8 @@ def clip_gradients(grads, max_norm: float):
 
 
 def train_iteration(examples, params, config: TrainingConfig, seed: int = 0):
-    """Minibatch SGD over the ``examples`` sequence with the settings of
-    ``config``. Returns (params, ce, mse), each loss averaged over every step."""
+    """Minibatch SGD over the ``examples`` sequence for ``config``'s epochs
+    and learning rate. Returns (params, ce, mse), each averaged over every step."""
     if not examples or config.epochs == 0:
         return params, 0.0, 0.0
 
@@ -183,13 +181,11 @@ def train_iteration(examples, params, config: TrainingConfig, seed: int = 0):
     mse_values: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(len(examples))
-        for lo in range(0, len(examples), config.batch_size):
-            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            _, ce, mse, grads = loss_and_gradients(params, batch, config.l2)
-            grads = clip_gradients(grads, config.max_grad_norm)
-            params, velocity = sgd_step(
-                params, grads, config.learning_rate, config.momentum, velocity
-            )
+        for lo in range(0, len(examples), BATCH_SIZE):
+            batch = [examples[i] for i in order[lo : lo + BATCH_SIZE]]
+            _, ce, mse, grads = loss_and_gradients(params, batch)
+            grads = clip_gradients(grads, MAX_GRAD_NORM)
+            params, velocity = sgd_step(params, grads, config.learning_rate, MOMENTUM, velocity)
             ce_values.append(ce)
             mse_values.append(mse)
     return params, float(np.mean(ce_values)), float(np.mean(mse_values))

@@ -371,13 +371,24 @@ def test_unwritable_out_exits_before_the_work(tiny_path, tmp_path, capsys, monke
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, offered", [("solve", True), ("advise", True), ("train", False)])
+def test_only_solve_and_advise_offer_a_checkpoint(command, offered, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--checkpoint" in capsys.readouterr().out) == offered
+
+
 def test_train_rejects_checkpoint_and_bad_counts(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "w.txt"
     save_checkpoint(init_params(2, 2, filters=(4,), dense_units=8), ckpt)
-    assert run_cli(
-        ["train", "--jobspec", tiny_path, "--out", str(tmp_path / "t"),
-         "--checkpoint", str(ckpt)]
-    ) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse knows no --checkpoint for train
+        run_cli(
+            ["train", "--jobspec", tiny_path, "--out", str(tmp_path / "t"),
+             "--checkpoint", str(ckpt)]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
     assert run_cli(
         ["train", "--jobspec", tiny_path, "--out", str(tmp_path / "t"),
          "--iterations", "0"]

@@ -98,6 +98,18 @@ def test_pick_exposes_stone_above():
     assert state.board.bottom_row_tasks() == ["A", "C"]
 
 
+def test_picking_on_a_states_board_leaves_the_states_unchanged():
+    state = tiny_state()
+    declined, _, _ = transition(state, NOOP)  # a decline shares its layout
+    cells = state.cells[:]
+    board = state.board
+    board.remove_and_cascade("A")
+    assert board.bottom_row_tasks() == ["B", "C"]
+    assert state.cells == cells and declined.cells == cells
+    assert state.board.bottom_row_tasks() == ["A", "C"]
+    assert declined.board.bottom_row_tasks() == ["A", "C"]
+
+
 def test_strict_blocks_running_predecessor():
     nxt, _, _ = transition(tiny_state(), pick("A"))
     # A is still running, so its successor B stays locked
