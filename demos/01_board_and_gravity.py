@@ -26,9 +26,16 @@ task C1 E 4 0 2 2
 spec = parse_jobspec(TEXT)
 board = Board.from_spec(spec)
 
+
+def pickable(board):
+    """Ids of the stones on the bottom row, left to right."""
+    bottom = [s for s in board.stones.values() if s.row == 0]
+    return [s.id for s in sorted(bottom, key=lambda s: s.col)]
+
+
 print("initial layout (row 0 is the bottom):")
 print(board.render())
-print("pickable now:", board.bottom_row_tasks())
+print("pickable now:", pickable(board))
 print()
 
 # C1 spans both columns, so it rests on B1 and B2 at once.
@@ -42,4 +49,4 @@ outcome = board.remove_and_cascade("A2")
 print("removed A2, descents:", outcome.descents)
 print(board.render())
 print("now C1 has settled to row", board.stones["C1"].row)
-print("pickable now:", board.bottom_row_tasks())
+print("pickable now:", pickable(board))

@@ -43,11 +43,10 @@ reports it bottom-up. If the walk up the column meets a wide stone first,
 that stone may have rested on the run alone, and the heap cascade runs.
 
 Both arguments need a layout that was settled before the pick. A job file
-can describe floating stones, so ``from_spec``, which takes its cells from
-``JobSpec.layout``, checks its layout once; the first cascade of an
+can describe floating stones, so ``JobContext.build``, which holds the
+job's tables, checks the initial layout once; the first cascade of an
 unsettled layout takes the leftmost cell of every stone above row 0 as a
-candidate, in ascending order and so already a heap, which makes its first
-pass a full one.
+candidate, in ascending order and so already a heap: a full first pass.
 """
 
 from __future__ import annotations
@@ -151,109 +150,80 @@ def cascade(cells: list[int], col, span, width: int, t: int, settled: bool) -> l
 
 
 class Board:
-    """One layout over a job's tables.
+    """One layout over the tables of ``job``, the job's ``JobContext``.
 
     A board owns its ``cells``: ``from_spec`` copies the job's layout, and
     the board of a game state (``GameState.board``) copies the state's list,
     which states never change and may share.
     """
 
-    __slots__ = ("width", "height", "ids", "index", "kinds", "col", "span", "cells", "settled")
+    __slots__ = ("job", "cells", "settled")
 
-    def __init__(self, tables, cells: list[int], settled: bool):
-        """A layout of ``cells`` over the job tables of ``tables``, a
-        ``Board`` or a ``JobContext``."""
-        self.width, self.height = tables.width, tables.height
-        self.ids, self.index, self.kinds = tables.ids, tables.index, tables.kinds
-        self.col, self.span = tables.col, tables.span
-        self.cells, self.settled = cells, settled
+    def __init__(self, job, cells: list[int], settled: bool):
+        self.job, self.cells, self.settled = job, cells, settled
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
         """The job's initial layout, its cells a copy of ``JobSpec.layout``."""
-        board = cls.__new__(cls)
-        board.width, board.height = spec.width, spec.height
-        tasks = spec.tasks
-        board.ids = tuple(t.id for t in tasks)
-        board.index = {t.id: i for i, t in enumerate(tasks)}
-        board.kinds = tuple(t.kind for t in tasks)
-        board.col = tuple(t.col for t in tasks)
-        board.span = tuple(t.span for t in tasks)
-        board.cells = spec.layout()
-        board.settled = board.is_gravity_fixpoint()
-        return board
+        # game.py imports this module, so JobContext is imported here, on call
+        from .game import JobContext
+
+        job = JobContext.build(spec)
+        return cls(job, spec.layout(), job.settled)
 
     def copy(self) -> "Board":
-        return Board(self, self.cells[:], self.settled)
+        return Board(self.job, self.cells[:], self.settled)
 
     def _rows(self) -> list[int]:
         """Each task's row, read off its cells; -1 once removed."""
-        rows = [-1] * len(self.ids)
-        w = self.width
+        rows = [-1] * len(self.job.ids)
+        w = self.job.width
         for k, t in enumerate(self.cells):
             if t >= 0:
                 rows[t] = k // w
         return rows
 
     @property
-    def grid(self) -> list[list[str | None]]:
-        """Task id or None per cell, one list per row, row 0 first."""
-        ids, cells, w = self.ids, self.cells, self.width
-        return [
-            [None if t < 0 else ids[t] for t in cells[r * w : r * w + w]]
-            for r in range(self.height)
-        ]
-
-    @property
     def stones(self) -> dict[str, Stone]:
         """The stones still on the board, in job order."""
-        ids, kinds, col, span = self.ids, self.kinds, self.col, self.span
+        job = self.job
+        ids, kinds, col, span = job.ids, job.kinds, job.col, job.span
         return {
             ids[i]: Stone(ids[i], kinds[i], col[i], span[i], r)
             for i, r in enumerate(self._rows())
             if r >= 0
         }
 
-    def bottom_row_tasks(self) -> list[str]:
-        """Ids of stones in row 0, left to right, each listed once."""
-        seen: list[str] = []
-        last = -1
-        for t in self.cells[: self.width]:
-            if t >= 0 and t != last:
-                seen.append(self.ids[t])
-            last = t
-        return seen
-
     def remove_and_cascade(self, task_id: str) -> PickOutcome:
         """Remove a bottom-row stone and let the stack settle (``cascade``)."""
-        t = self.index.get(task_id)
+        job = self.job
+        t = job.index.get(task_id)
         if t is None or t not in self.cells:
             raise BoardError(f"no stone {task_id!r} on the board")
-        if self.cells[self.col[t]] != t:
+        if self.cells[job.col[t]] != t:
             raise BoardError(f"stone {task_id!r} is not in the bottom row")
         row = self._rows()  # each stone's row as the descents are replayed
-        fell = cascade(self.cells, self.col, self.span, self.width, t, self.settled)
+        fell = cascade(self.cells, job.col, job.span, job.width, t, self.settled)
         self.settled = True
         descents = []
         for s in fell:
-            descents.append((self.ids[s], row[s], row[s] - 1))
+            descents.append((job.ids[s], row[s], row[s] - 1))
             row[s] -= 1
         return PickOutcome(task_id, descents)
 
     def is_gravity_fixpoint(self) -> bool:
-        cells, w, col, span = self.cells, self.width, self.col, self.span
-        for s, r in enumerate(self._rows()):
-            # floating: every cell under the span is empty
-            if r > 0:
-                lo = (r - 1) * w + col[s]
-                if cells[lo : lo + span[s]].count(-1) == span[s]:
-                    return False
+        cells, w, col, span = self.cells, self.job.width, self.job.col, self.job.span
+        for k in range(w, len(cells)):
+            s = cells[k]
+            # at a stone's leftmost cell, floating: every cell under its span is empty
+            if s >= 0 and col[s] == k % w and cells[k - w : k - w + span[s]].count(-1) == span[s]:
+                return False
         return True
 
     def render(self) -> str:
         """Text picture, top row first: '.' empty, else the stone's kind."""
-        kinds, cells, w = self.kinds, self.cells, self.width
+        kinds, cells, w = self.job.kinds, self.cells, self.job.width
         return "\n".join(
             "".join("." if t < 0 else kinds[t] for t in cells[r * w : r * w + w])
-            for r in range(self.height - 1, -1, -1)
+            for r in range(self.job.height - 1, -1, -1)
         )

@@ -88,7 +88,7 @@ def pick(task_id: str) -> AgentAction:
 
 
 class JobContext:
-    """Immutable per-job data shared by every state of an episode.
+    """Immutable per-job data shared by every state and ``Board`` of a job.
 
     Tasks are numbered in job order and agents in roster order; every
     table is indexed by those numbers.
@@ -104,23 +104,27 @@ class JobContext:
         )
         tasks = spec.tasks
         job.tasks = {t.id: t for t in tasks}
-        start = Board.from_spec(spec)
-        job.width, job.height, job.ids, job.index = spec.width, spec.height, start.ids, start.index
-        job.kinds, job.col, job.span = start.kinds, start.col, start.span
+        job.width, job.height = spec.width, spec.height
+        job.index = {t.id: i for i, t in enumerate(tasks)}
+        job.ids = tuple(t.id for t in tasks)
+        job.kinds = tuple(t.kind for t in tasks)
+        job.col = tuple(t.col for t in tasks)
+        job.span = tuple(t.span for t in tasks)
         job.duration = tuple(t.duration for t in tasks)
         job.picks = tuple(AgentAction(t.id) for t in tasks)  # each task's pick action
         job.full = (1 << len(tasks)) - 1  # the mask of all tasks
-        job.settled = start.settled  # whether the initial layout is at its gravity fixpoint
+        # whether the initial layout is at its gravity fixpoint
+        job.settled = Board(job, spec.layout(), False).is_gravity_fixpoint()
         # per agent, the mask of the tasks it may do
-        human = sum(1 << i for i, kind in enumerate(start.kinds) if kind != ROBOT_ONLY)
-        robot = sum(1 << i for i, kind in enumerate(start.kinds) if kind != HUMAN_ONLY)
+        human = sum(1 << i for i, kind in enumerate(job.kinds) if kind != ROBOT_ONLY)
+        robot = sum(1 << i for i, kind in enumerate(job.kinds) if kind != HUMAN_ONLY)
         job.ok = (human,) * spec.humans + (robot,) * spec.robots
         # per task, the mask of its direct predecessors; none in literal mode
         pred = [0] * len(tasks)
         if strict:  # derive_precedence lists the tasks in job order
             for i, preds in enumerate(derive_precedence(spec).values()):
                 for p in preds:
-                    pred[i] |= 1 << start.index[p]
+                    pred[i] |= 1 << job.index[p]
         job.pred = tuple(pred)
         return job
 
@@ -148,14 +152,10 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """A board over a copy of ``cells``, so changing it leaves the state unchanged."""
-        return Board(self.job, self.cells[:], _settled(self))
-
-
-def _settled(state: GameState) -> bool:
-    """Whether the layout is at its gravity fixpoint: the job's is, or a
-    pick has settled it."""
-    return state.job.settled or state.completed_mask != 0 or max(state.doing) >= 0
+        """A board over a copy of ``cells``, so changing it leaves the state unchanged;
+        settled when the job's layout is, or once a pick has settled it."""
+        settled = self.job.settled or self.completed_mask != 0 or max(self.doing) >= 0
+        return Board(self.job, self.cells[:], settled)
 
 
 # The context built by the latest initial_state call. Every caller plays one
@@ -257,7 +257,7 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         if t is None or cells[job.col[t]] != t or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
         cells, doing, finish = cells[:], state.doing[:], state.finish[:]
-        settled = job.settled or done != 0 or max(doing) >= 0  # _settled(state), inlined
+        settled = job.settled or done != 0 or max(doing) >= 0  # as in GameState.board
         cascade(cells, job.col, job.span, job.width, t, settled)
         doing[p] = t
         finish[p] = state.clock + job.duration[t]

@@ -97,6 +97,8 @@ def _validate(spec: JobSpec) -> None:
     width, tasks = spec.width, spec.tasks
     cells = [-1] * (width * spec.height)  # the task index per cell, the one fill
     for i, t in enumerate(tasks):
+        if not isinstance(t, Task) or type(t.id) is not str:
+            raise JobSpecError(f"each task must be a Task with a str id, got {t!r}")
         check_task_id(t.id)
         if t.id in seen:
             raise JobSpecError(f"duplicate task id {t.id!r}")

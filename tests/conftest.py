@@ -1,4 +1,5 @@
-"""Shared fixtures: hand-sized jobs and a seeded random instance maker."""
+"""Shared fixtures: hand-sized jobs, a seeded random instance maker, and
+readers of a board's layout."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,20 @@ task A H 2 0 0
 task B R 3 0 1
 task C E 4 1 0
 """
+
+
+def id_grid(board) -> list[list[str | None]]:
+    """Task id or None per cell of ``board.cells``, one list per row, row 0
+    first, each row left to right."""
+    ids, cells, w = board.job.ids, board.cells, board.job.width
+    return [[None if t < 0 else ids[t] for t in cells[k : k + w]] for k in range(0, len(cells), w)]
+
+
+def bottom_row(board) -> list[str]:
+    """Ids of the stones in row 0 of ``board.cells``, left to right, each
+    listed once."""
+    ids = board.job.ids
+    return [ids[t] for t in dict.fromkeys(board.cells[: board.job.width]) if t >= 0]
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from hrcsched import (
     Board, BoardError, JobSpec, JobSpecError, Stone, Task, desk_fixture, parse_jobspec,
 )
 
-from conftest import random_instance
+from conftest import bottom_row, id_grid, random_instance
 
 
 def make_board(text: str) -> Board:
@@ -16,8 +16,7 @@ def test_from_spec_and_lookup():
     board = make_board("board 2 2\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1 2\n")
     assert "a" in board.stones and "b" in board.stones and "c" not in board.stones
     assert len(board.stones) == 2
-    assert board.grid[0] == ["a", None]
-    assert board.grid[1] == ["b", "b"]
+    assert id_grid(board) == [["a", None], ["b", "b"]]
 
 
 def test_overlap_rejected_at_placement():
@@ -44,14 +43,6 @@ def test_stone_outside_board_rejected_at_placement(stone):
         Board.from_spec(JobSpec(2, 2, 1, 1, tasks))
 
 
-def test_bottom_row_tasks_order_and_dedupe():
-    board = make_board(
-        "board 4 1\nagents 1 1\n"
-        "task right E 1 3 0\ntask wide E 1 1 0 2\ntask left E 1 0 0\n"
-    )
-    assert board.bottom_row_tasks() == ["left", "wide", "right"]
-
-
 def test_remove_requires_bottom_row():
     board = make_board("board 1 2\nagents 1 1\ntask a E 1 0 0\ntask b E 1 0 1\n")
     with pytest.raises(BoardError, match="not in the bottom row"):
@@ -66,7 +57,7 @@ def test_single_descent():
     assert outcome.removed == "a"
     assert outcome.descents == [("b", 1, 0)]
     assert board.stones["b"].row == 0
-    assert board.bottom_row_tasks() == ["b"]
+    assert bottom_row(board) == ["b"]
     assert board.is_gravity_fixpoint()
 
 
@@ -131,8 +122,8 @@ def test_cascade_reaches_fixpoint_on_random_instances():
         spec = random_instance(seed)
         board = Board.from_spec(spec)
         assert board.is_gravity_fixpoint()
-        while board.bottom_row_tasks():
-            board.remove_and_cascade(board.bottom_row_tasks()[0])
+        while bottom_row(board):
+            board.remove_and_cascade(bottom_row(board)[0])
             assert board.is_gravity_fixpoint()
         assert len(board.stones) == 0
 
@@ -143,8 +134,8 @@ class ReferenceBoard:
     on, copied from a ``Board``."""
 
     def __init__(self, board: Board):
-        self.width, self.height = board.width, board.height
-        self.grid = board.grid
+        self.width, self.height = board.job.width, board.job.height
+        self.grid = id_grid(board)
         self.stones = board.stones
 
     def bottom_row_tasks(self) -> list[str]:
@@ -155,35 +146,40 @@ class ReferenceBoard:
         return seen
 
 
+def settling_pass(board: ReferenceBoard) -> list[tuple[str, int, int]]:
+    """One full rescan: scan rows bottom-up and columns left to right, and
+    move every stone with empty cells under its whole span down one row.
+    Returns the descents; none exactly when the layout is at its gravity
+    fixpoint."""
+    descents = []
+    for r in range(1, board.height):
+        for c in range(board.width):
+            tid = board.grid[r][c]
+            if tid is None:
+                continue
+            s = board.stones[tid]
+            if s.row != r or s.col != c:
+                continue
+            cols = range(s.col, s.col + s.span)
+            if all(board.grid[r - 1][cc] is None for cc in cols):
+                for cc in cols:
+                    board.grid[r - 1][cc] = tid
+                    board.grid[r][cc] = None
+                board.stones[tid] = Stone(s.id, s.kind, s.col, s.span, r - 1)
+                descents.append((tid, r, r - 1))
+    return descents
+
+
 def reference_cascade(board: ReferenceBoard, task_id: str) -> list[tuple[str, int, int]]:
     """Gravity by full rescans: the definition ``remove_and_cascade`` must
-    match. Each pass scans rows bottom-up and columns left to right and
-    moves every stone with empty cells under its whole span down one row;
-    passes repeat until nothing moves."""
+    match. Settling passes repeat until one moves nothing."""
     stone = board.stones.pop(task_id)
     assert stone.row == 0
     for c in range(stone.col, stone.col + stone.span):
         board.grid[0][c] = None
     descents = []
-    moved = True
-    while moved:
-        moved = False
-        for r in range(1, board.height):
-            for c in range(board.width):
-                tid = board.grid[r][c]
-                if tid is None:
-                    continue
-                s = board.stones[tid]
-                if s.row != r or s.col != c:
-                    continue
-                cols = range(s.col, s.col + s.span)
-                if all(board.grid[r - 1][cc] is None for cc in cols):
-                    for cc in cols:
-                        board.grid[r - 1][cc] = tid
-                        board.grid[r][cc] = None
-                    board.stones[tid] = Stone(s.id, s.kind, s.col, s.span, r - 1)
-                    descents.append((tid, r, r - 1))
-                    moved = True
+    while moved := settling_pass(board):
+        descents += moved
     return descents
 
 
@@ -219,7 +215,7 @@ def column_run(board: Board, task_id: str) -> bool:
     if not board.settled or stones[task_id].span != 1:
         return False
     col = stones[task_id].col
-    for row in board.grid[1:]:
+    for row in id_grid(board)[1:]:
         if row[col] is None:
             return True
         if stones[row[col]].span != 1:
@@ -229,24 +225,28 @@ def column_run(board: Board, task_id: str) -> bool:
 
 def test_cascade_matches_full_rescan_on_random_boards():
     rng = np.random.default_rng(2024)
-    boards = picks = runs = 0
+    boards = floating = picks = runs = 0
     while boards < 5000:
         layout = random_layout(rng)
         if layout is None:
             continue  # nothing to pick, so no cascade to test
         fast, slow = layout
         boards += 1
-        while fast.bottom_row_tasks():
-            assert fast.bottom_row_tasks() == slow.bottom_row_tasks()
-            tid = str(rng.choice(fast.bottom_row_tasks()))
+        # JobContext.build's fixpoint check agrees with a settling pass on a fresh copy
+        still = not settling_pass(ReferenceBoard(fast))
+        assert fast.job.settled == still
+        floating += not still
+        while bottom_row(fast):
+            assert bottom_row(fast) == slow.bottom_row_tasks()
+            tid = str(rng.choice(bottom_row(fast)))
             runs += column_run(fast, tid)
             assert fast.remove_and_cascade(tid).descents == reference_cascade(slow, tid)
-            assert fast.grid == slow.grid
+            assert id_grid(fast) == slow.grid
             assert {k: s.row for k, s in fast.stones.items()} == {
                 k: s.row for k, s in slow.stones.items()
             }
             picks += 1
-    assert picks > 5000
+    assert picks > 5000 and 1000 < floating < 4000
     # both paths of a settled cascade, and the unsettled one, are well used
     assert runs > 1000 and picks - runs > 1000
 
@@ -258,7 +258,7 @@ def check_cascade(text: str, task_id: str) -> list[tuple[str, int, int]]:
     slow = ReferenceBoard(make_board(text))
     descents = fast.remove_and_cascade(task_id).descents
     assert descents == reference_cascade(slow, task_id)
-    assert fast.grid == slow.grid
+    assert id_grid(fast) == slow.grid
     assert fast.is_gravity_fixpoint()
     return descents
 
@@ -314,19 +314,19 @@ def test_floating_job_gets_a_full_first_pass():
     assert board.remove_and_cascade("a").descents == reference_cascade(slow, "a") == [
         ("c", 2, 1)
     ]
-    assert board.settled and board.grid == slow.grid
+    assert board.settled and id_grid(board) == slow.grid
 
 
 def snapshot(board: Board):
     return (
-        [row[:] for row in board.grid],
+        id_grid(board),
         {k: (s.col, s.span, s.row) for k, s in board.stones.items()},
     )
 
 
 def test_cascade_leaves_copies_untouched():
-    """Copies share their stones, so a cascade on either side of a copy
-    must leave the other side's grid and stones as they were."""
+    """A copy owns its cells, so a cascade on either side of a copy must
+    leave the other side's grid and stones as they were."""
     rng = np.random.default_rng(7)
     for _ in range(300):
         layout = random_layout(rng)
@@ -334,12 +334,12 @@ def test_cascade_leaves_copies_untouched():
             continue
         board = layout[0]
         earlier = []
-        while board.bottom_row_tasks():
+        while bottom_row(board):
             before = snapshot(board)
             probe = board.copy()
-            probe.remove_and_cascade(str(rng.choice(probe.bottom_row_tasks())))
+            probe.remove_and_cascade(str(rng.choice(bottom_row(probe))))
             assert snapshot(board) == before
             earlier.append((board.copy(), before))
-            board.remove_and_cascade(str(rng.choice(board.bottom_row_tasks())))
+            board.remove_and_cascade(str(rng.choice(bottom_row(board))))
         for dup, seen in earlier:
             assert snapshot(dup) == seen

@@ -26,7 +26,7 @@ from hrcsched import (
 )
 from hrcsched.game import pick
 
-from conftest import TINY_TEXT, random_instance
+from conftest import TINY_TEXT, bottom_row, random_instance
 
 H1 = Agent("H", 1)
 R1 = Agent("R", 1)
@@ -89,13 +89,22 @@ def test_legal_actions_rejects_agent_outside_roster():
         legal_actions(tiny_state(), Agent("H", 2))
 
 
+def test_legal_actions_list_a_wide_stone_once_left_to_right():
+    spec = parse_jobspec(
+        "board 4 1\nagents 1 1\n"
+        "task right E 1 3 0\ntask wide E 1 1 0 2\ntask left E 1 0 0\n"
+    )
+    actions = legal_actions(initial_state(spec), H1)
+    assert actions == [pick("left"), pick("wide"), pick("right"), NOOP]
+
+
 def test_pick_exposes_stone_above():
     state = tiny_state()
-    assert state.board.bottom_row_tasks() == ["A", "C"]
+    assert bottom_row(state.board) == ["A", "C"]
     nxt, _, _ = transition(state, pick("A"))
-    assert nxt.board.bottom_row_tasks() == ["B", "C"]
+    assert bottom_row(nxt.board) == ["B", "C"]
     # the input state is untouched
-    assert state.board.bottom_row_tasks() == ["A", "C"]
+    assert bottom_row(state.board) == ["A", "C"]
 
 
 def test_picking_on_a_states_board_leaves_the_states_unchanged():
@@ -104,10 +113,10 @@ def test_picking_on_a_states_board_leaves_the_states_unchanged():
     cells = state.cells[:]
     board = state.board
     board.remove_and_cascade("A")
-    assert board.bottom_row_tasks() == ["B", "C"]
+    assert bottom_row(board) == ["B", "C"]
     assert state.cells == cells and declined.cells == cells
-    assert state.board.bottom_row_tasks() == ["A", "C"]
-    assert declined.board.bottom_row_tasks() == ["A", "C"]
+    assert bottom_row(state.board) == ["A", "C"]
+    assert bottom_row(declined.board) == ["A", "C"]
 
 
 def test_strict_blocks_running_predecessor():

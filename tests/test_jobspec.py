@@ -141,11 +141,13 @@ def test_error_reports_line_number():
         ((2, 2, 1, 1, (Task("a", "E", 1.5, 0, 0),)), "task 'a' .* integers, got 1.5 0 0 1"),
         ((2, 2, True, 0, (Task("a", "E", 1, 0, 0),)), "integers, got board 2 2, agents True 0"),
         ((2.0, 2, 1, 1, (Task("a", "E", 1, 0, 0),)), "integers, got board 2.0 2,"),
+        ((2, 2, 1, 1, (Task(5, "E", 1, 0, 0),)), r"Task with a str id, got Task\(id=5,"),
+        ((2, 2, 1, 1, (("a", "E", 1, 0, 0),)), r"Task with a str id, got \('a', 'E', 1, 0, 0\)"),
     ],
     ids=[
         "duplicate", "kind", "duration", "no-human", "no-tasks", "cells", "comma",
         "empty-id", "space-id", "tab-id", "hash-id", "float-duration", "bool-humans",
-        "float-width",
+        "float-width", "int-id", "not-a-task",
     ],
 )
 def test_code_built_spec_meets_the_parser_rules(args, fragment):

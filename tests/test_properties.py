@@ -32,6 +32,7 @@ from hrcsched import (
 )
 from hrcsched.game import noop_stalls
 
+from conftest import bottom_row, id_grid
 from test_baselines import reference_search
 from test_board import ReferenceBoard, reference_cascade
 
@@ -107,10 +108,10 @@ def test_cascade_matches_full_rescans(job, seed):
     rng = np.random.default_rng(seed)
     board = Board.from_spec(spec)
     slow = ReferenceBoard(board)
-    while board.bottom_row_tasks():
-        tid = str(rng.choice(board.bottom_row_tasks()))
+    while bottom_row(board):
+        tid = str(rng.choice(bottom_row(board)))
         assert board.remove_and_cascade(tid).descents == reference_cascade(slow, tid)
-        assert board.grid == slow.grid
+        assert id_grid(board) == slow.grid
 
 
 @PROPERTY
