@@ -48,8 +48,11 @@ from .jobspec import JobSpec
 
 NODE_BUDGET = 10_000_000
 TRAJECTORIES = 1000
-# far under Python's recursion limit; benchmark corpus trees are at most 13
-# deep, and on the desk job the probe gives up at its first node this deep
+# The search recurses once per level, and the deepening stops before a pass
+# goes deeper than this, well under Python's recursion limit (1,000 by default).
+MAX_DEPTH = 500
+# under MAX_DEPTH; benchmark corpus trees are at most 13 deep, and on the desk
+# job the probe gives up at its first node this deep
 PROBE_DEPTH = 64
 
 COMPLETE = "complete"
@@ -71,7 +74,7 @@ class OracleResult:
     optimal_route: list[tuple[str, str | None]] | None  # (agent, task or None=decline)
     depth_rows: list[DepthRow]
     nodes_expanded: int  # the deepening's visits, the budget's unit, even if probed
-    stopped_at_depth: int | None
+    stopped_at_depth: int | None  # MAX_DEPTH + 1 when the depth cap, not the budget, stopped it
 
     @property
     def total_routes(self) -> int:
@@ -90,7 +93,9 @@ def exhaustive_search(
     Voluntary declines are part of the action space (waiting for a partner
     to free a task can shorten the schedule), so the reported optimum is a
     true lower bound for any legal play. The budget counts prefix visits
-    summed over all deepening passes, even when the probe pass answers.
+    summed over all deepening passes, even when the probe pass answers. A
+    tree deeper than ``MAX_DEPTH`` ends as ``BUDGET_EXCEEDED`` too, with
+    every depth up to ``MAX_DEPTH`` counted.
     """
     job = JobContext.build(spec, strict=strict)
     w, col, span, dur = job.width, job.col, job.span, job.duration
@@ -223,6 +228,9 @@ def exhaustive_search(
         visits = sum(accumulate(nodes[:limit + 1])) - nodes[0]  # passes 1..limit
     while frontier:
         limit += 1
+        if limit > MAX_DEPTH:
+            status, stopped_at = BUDGET_EXCEEDED, limit
+            break
         try:
             dig()
         except _BudgetStop:

@@ -19,6 +19,7 @@ import sys
 
 from .baselines import (
     BUDGET_EXCEEDED,
+    MAX_DEPTH,
     NODE_BUDGET,
     TRAJECTORIES,
     exhaustive_search,
@@ -251,7 +252,10 @@ def _cmd_oracle(args, spec: JobSpec, seed: int, strict: bool) -> int:
     result = exhaustive_search(spec, node_budget=args.node_budget, strict=strict)
     _write(args.out, "oracle_report.csv", oracle_report_csv(result))
     if result.status == BUDGET_EXCEEDED:
-        print(f"node budget exhausted after {result.nodes_expanded} nodes")
+        if result.stopped_at_depth > MAX_DEPTH:
+            print(f"depth limit {MAX_DEPTH} reached after {result.nodes_expanded} nodes")
+        else:
+            print(f"node budget exhausted after {result.nodes_expanded} nodes")
         if result.depth_rows:
             print(f"deepest fully counted depth {result.depth_rows[-1].depth}")
         if result.optimal_makespan is not None:

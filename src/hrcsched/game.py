@@ -203,6 +203,10 @@ def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     A bottom-row stone is pickable when its kind matches the agent and
     (strict mode only) every direct predecessor has completed. A stone
     taken earlier this epoch has already left the layout.
+
+    The order is a contract: the picks by strictly increasing column, each
+    stone once, then NoOp. ``search.select_edge``, ``SearchTree.run``,
+    ``expand_and_evaluate`` and ``random_rollouts`` rely on it.
     """
     job = state.job
     roster = job.roster

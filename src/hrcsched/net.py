@@ -445,7 +445,8 @@ def loads_checkpoint(text: str) -> dict[str, np.ndarray]:
         name = fields[1]
         if name in params:
             raise CheckpointError(f"duplicate tensor {name!r}")
-        if not all(f.isdigit() and int(f) > 0 for f in fields[2:]):
+        # isdigit alone also passes digits int() refuses, such as superscript two
+        if not all(f.isascii() and f.isdigit() and int(f) > 0 for f in fields[2:]):
             raise CheckpointError(f"tensor {name!r} has bad dimensions")
         dims = [int(f) for f in fields[2:]]
         count = 1

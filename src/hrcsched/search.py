@@ -68,38 +68,24 @@ class SearchNode:
         return sum(e.visits for e in self.edges) if self.edges else 0
 
 
-def _edge_order_key(edge: Edge, state: GameState):
-    # Ties prefer a higher prior, then a lower column; NoOp loses all ties.
-    if edge.action.is_noop:
-        return (edge.prior, 0, 0)
-    col = state.job.tasks[edge.action.task].col
-    return (edge.prior, 1, -col)
-
-
 def select_edge(node: SearchNode, c_puct: float) -> Edge:
     """Pick the edge maximising Q + c * P * sqrt(sum visits) / (1 + visits).
 
-    Exact score ties go by ``_edge_order_key``, which is only computed for
-    them.
+    An exact score tie goes to the higher prior, then to the earlier edge.
+    The edges follow ``legal_actions``: picks by increasing column, NoOp
+    last, so the earlier edge is the lower column and NoOp loses every tie.
     """
     edges = node.edges
     # node.visits summed inline: this runs once per step of every simulation
     sqrt_total = math.sqrt(sum([e.visits for e in edges]))
     best = None
     best_score = 0.0
-    best_key = None  # best's order key, once a tie has needed it
     for edge in edges:
         visits = edge.visits
         q = edge.total_value / visits if visits else 0.0
         score = q + c_puct * edge.prior * sqrt_total / (1 + visits)
-        if best is None or score > best_score:
-            best, best_score, best_key = edge, score, None
-        elif score == best_score:
-            if best_key is None:
-                best_key = _edge_order_key(best, node.state)
-            key = _edge_order_key(edge, node.state)
-            if key > best_key:
-                best, best_key = edge, key
+        if best is None or score > best_score or score == best_score and edge.prior > best.prior:
+            best, best_score = edge, score
     return best
 
 
@@ -149,14 +135,14 @@ def expand_and_evaluate(node: SearchNode, evaluator) -> float:
     return float(value)
 
 
-def backup(path: list[tuple[SearchNode, Edge]], leaf_value: float) -> None:
-    """Credit a finished simulation to every edge on its path.
+def backup(path: list[Edge], leaf_value: float) -> None:
+    """Credit a finished simulation to every edge on its path, root first.
 
     Each edge receives the rewards collected from its own transition
-    onwards plus the leaf value, all undiscounted.
+    onwards plus the leaf value, all undiscounted. Only the edges are read.
     """
     value = leaf_value
-    for _, edge in reversed(path):
+    for edge in reversed(path):
         value += edge.reward
         edge.visits += 1
         edge.total_value += value
@@ -189,8 +175,9 @@ class SearchTree:
 
         Returns (visit-count policy over the root actions, chosen action).
         The chosen action has the most visits; ties go to the higher prior,
-        then the lower column, with NoOp last. A root with a single legal
-        action is answered immediately.
+        then to the earlier edge, which in ``legal_actions`` order is the
+        lower column, with NoOp last. A root with a single legal action is
+        answered immediately.
         """
         cfg = self.config
         if self.root.edges is None:
@@ -208,10 +195,8 @@ class SearchTree:
             policy = [(e.action, e.prior) for e in self.root.edges]
         else:
             policy = [(e.action, e.visits / total) for e in self.root.edges]
-        chosen = max(
-            self.root.edges,
-            key=lambda e: (e.visits,) + _edge_order_key(e, self.root.state),
-        ).action
+        # max keeps the first of equal keys
+        chosen = max(self.root.edges, key=lambda e: (e.visits, e.prior)).action
         return policy, chosen
 
     def _depth_capped(self, node: SearchNode) -> bool:
@@ -223,15 +208,15 @@ class SearchTree:
         c_puct = self.config.c_puct
         has_cap = self.config.max_depth is not None
         node = self.root
-        path: list[tuple[SearchNode, Edge]] = []
+        path: list[Edge] = []
         capped = False
 
-        while node.edges:  # expanded and not terminal
+        # a terminal or stalled node below the root is never expanded, so the
+        # walk stops at it
+        while node.edges:
             edge = select_edge(node, c_puct)
-            path.append((node, edge))
+            path.append(edge)
             node = _child(node, edge)
-            if node.terminal or node.stalled:
-                break
             if has_cap and self._depth_capped(node):
                 capped = True
                 break

@@ -6,6 +6,7 @@ branch-and-bound optimum, and a plain iterative deepening that must
 reproduce every field of the oracle's result.
 """
 
+import sys
 import warnings
 from dataclasses import replace
 
@@ -34,7 +35,8 @@ from hrcsched import (
     random_rollouts,
     transition,
 )
-from hrcsched.baselines import PROBE_DEPTH
+from hrcsched import baselines
+from hrcsched.baselines import MAX_DEPTH, PROBE_DEPTH
 from hrcsched.game import pick
 
 from conftest import TINY_TEXT, random_instance
@@ -256,18 +258,56 @@ def test_oracle_matches_reference_search_on_floating_layouts(humans, robots):
     assert floating >= 10
 
 
+def column_job(height, robots=0):
+    """One column of ``height`` stones, so every route is that many picks deep."""
+    tasks = tuple(Task(f"s{i}", "E", 1 + i % 4, 0, i, 1) for i in range(height))
+    return JobSpec(1, height, 1, robots, tasks)
+
+
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("robots, budget", [(0, 10_000_000), (1, 20_000)])
 def test_oracle_matches_reference_search_below_the_probe_depth(robots, budget, strict):
     # One column of 70 stones, so every route runs deeper than PROBE_DEPTH.
     # A lone human's tree is one path, within the probe's visit cap but not
     # its depth; with a robot the tree outgrows the budget.
-    tasks = tuple(Task(f"s{i}", "E", 1 + i % 4, 0, i, 1) for i in range(70))
-    spec = JobSpec(1, 70, 1, robots, tasks)
-    assert len(tasks) > PROBE_DEPTH
+    spec = column_job(70, robots)
+    assert len(spec.tasks) > PROBE_DEPTH
     expected = reference_search(spec, node_budget=budget, strict=strict)
     assert expected.status == (BUDGET_EXCEEDED if robots else COMPLETE)
     assert exhaustive_search(spec, node_budget=budget, strict=strict) == expected
+
+
+def test_oracle_stops_at_the_depth_cap_as_at_the_budget(monkeypatch):
+    # Deeper than the probe, so the deepening runs and meets the cap: it ends
+    # as a budget just spent on the passes to the cap would end it.
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 5)
+    spec = column_job(70)
+    res = exhaustive_search(spec)
+    assert res.status == BUDGET_EXCEEDED and res.stopped_at_depth == 6
+    assert [r.depth for r in res.depth_rows] == list(range(6))
+    assert res == reference_search(spec, node_budget=res.nodes_expanded)
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_max_depth_leaves_room_under_the_recursion_limit(monkeypatch):
+    """The search takes one frame per level, so a pass to MAX_DEPTH leaves
+    half the recursion limit to its callers."""
+    assert PROBE_DEPTH < MAX_DEPTH <= sys.getrecursionlimit() // 2
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 80)
+    spec = column_job(100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 80 + 10)
+    try:
+        res = exhaustive_search(spec)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.status == BUDGET_EXCEEDED and res.stopped_at_depth == 81
 
 
 def test_oracle_depth_row_invariants():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hrcsched import desk_fixture, init_params, save_checkpoint, serialize_jobspec
+from hrcsched import baselines, cli, desk_fixture, init_params, save_checkpoint, serialize_jobspec
 from hrcsched.cli import main
 
 from conftest import TINY_TEXT
@@ -137,6 +137,26 @@ def test_oracle_budget_exceeded_output(tiny_path, tmp_path, capsys):
     assert (out / "oracle_report.csv").read_text() == "depth,routes,nodes\n0,1,1\n1,3,3\n"
 
 
+def test_oracle_stopped_by_the_depth_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 3)
+    monkeypatch.setattr(cli, "MAX_DEPTH", 3)
+    path = tmp_path / "column.job"
+    path.write_text(
+        "board 1 70\nagents 1 0\n" + "".join(f"task s{i} H 1 0 {i}\n" for i in range(70)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle", "--jobspec", str(path), "--out", str(out)]) == 0
+    # pass n visits the root, then a pick and a stalled decline per level:
+    # 3 + 5 + 7 nodes
+    assert capsys.readouterr().out == (
+        "depth limit 3 reached after 15 nodes\ndeepest fully counted depth 3\n"
+    )
+    assert (out / "oracle_report.csv").read_text(encoding="utf-8") == (
+        "depth,routes,nodes\n0,1,1\n1,1,2\n2,1,2\n3,1,2\n"
+    )
+
+
 def test_gravity_mode_changes_the_optimum(stack_path, tmp_path, capsys):
     assert run_cli(["oracle", "--jobspec", stack_path, "--out", str(tmp_path / "s")]) == 0
     strict_out = capsys.readouterr().out
@@ -236,6 +256,18 @@ def test_job_without_a_row_0_stone_exits_3(command, tmp_path, capsys):
 def test_garbage_checkpoint_exits_4(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "weights.txt"
     ckpt.write_text("not a checkpoint\n")
+    code = run_cli(
+        ["solve", "--jobspec", tiny_path, "--out", str(tmp_path / "o"),
+         "--checkpoint", str(ckpt)]
+    )
+    assert code == 4
+    assert "bad checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_dimension_with_a_non_ascii_digit_exits_4(tiny_path, tmp_path, capsys):
+    ckpt = tmp_path / "weights.txt"
+    # "\u00b2" is a digit to str.isdigit, but int() refuses it
+    ckpt.write_text("HRCNET v1\ntensor value_b \u00b2\n0 0\nend\n", encoding="utf-8")
     code = run_cli(
         ["solve", "--jobspec", tiny_path, "--out", str(tmp_path / "o"),
          "--checkpoint", str(ckpt)]

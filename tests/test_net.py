@@ -440,6 +440,7 @@ def test_checkpoint_shape_errors():
         lambda t: t.replace("tensor dense_w", "tensor dense_w 0", 1),
         lambda t: t.replace("tensor", "tensr", 1),
         lambda t: "\n".join(t.splitlines()[:4]) + "\nend\n",  # payload cut short
+        lambda t: t.replace("tensor value_b 1", "tensor value_b \u00b2", 1),  # a digit int() refuses
     ],
 )
 def test_checkpoint_corrupt_errors(mangle):

@@ -25,7 +25,6 @@ from hrcsched import search
 from hrcsched.game import pick
 from hrcsched.search import (
     Edge,
-    _edge_order_key,
     backup,
     expand_and_evaluate,
     masked_priors,
@@ -71,13 +70,21 @@ def test_select_edge_tie_breaks():
     # equal score and prior: the lower column wins
     a = Edge(action=pick("A"), prior=0.5, visits=1, total_value=-1.0)
     c = Edge(action=pick("C"), prior=0.5, visits=1, total_value=-1.0)
-    node = make_node([c, a])
+    node = make_node([a, c])
     assert select_edge(node, 0.0) is a
     # NoOp loses every tie to a pick
     n = Edge(action=NOOP, prior=0.5, visits=1, total_value=-1.0)
     c = Edge(action=pick("C"), prior=0.5, visits=1, total_value=-1.0)
-    node = make_node([n, c])
+    node = make_node([c, n])
     assert select_edge(node, 0.0) is c
+
+
+def edge_order_key(edge: Edge, state):
+    # Ties prefer a higher prior, then a lower column; NoOp loses all ties.
+    if edge.action.is_noop:
+        return (edge.prior, 0, 0)
+    col = state.job.tasks[edge.action.task].col
+    return (edge.prior, 1, -col)
 
 
 def reference_select_edge(node: SearchNode, c_puct: float) -> Edge:
@@ -88,7 +95,7 @@ def reference_select_edge(node: SearchNode, c_puct: float) -> Edge:
     best_key = None
     for edge in node.edges:
         score = edge.mean_value + c_puct * edge.prior * sqrt_total / (1 + edge.visits)
-        key = (score,) + _edge_order_key(edge, node.state)
+        key = (score,) + edge_order_key(edge, node.state)
         if best_key is None or key > best_key:
             best, best_key = edge, key
     return best
@@ -97,16 +104,19 @@ def reference_select_edge(node: SearchNode, c_puct: float) -> Edge:
 def test_select_edge_matches_reference_on_exact_ties():
     """Seeded random edge sets drawn from few priors, visit counts and mean
     values, so exact score ties are common: NoOp among the tied edges,
-    equal priors in different columns, and stones sharing a column."""
+    equal priors in different columns, and stones sharing a column. Each
+    set is in the order ``expand_and_evaluate`` makes: the picks by column
+    (as ``legal_actions`` lists them), then NoOp."""
     rng = np.random.default_rng(5)
     state = initial_state(desk_fixture())
     tasks = sorted(state.job.tasks)
     tied = noop_tied = column_tied = 0
     for _ in range(4000):
         chosen = rng.choice(len(tasks), size=int(rng.integers(1, 7)), replace=False)
+        chosen = sorted(chosen, key=lambda i: state.job.tasks[tasks[i]].col)
         actions = [pick(tasks[i]) for i in chosen]
         if rng.random() < 0.7:
-            actions.insert(int(rng.integers(0, len(actions) + 1)), NOOP)
+            actions.append(NOOP)
         edges = []
         for action in actions:
             visits = int(rng.choice([0, 0, 1, 2]))
@@ -137,25 +147,20 @@ def walk(node: SearchNode):
             yield from walk(edge.child)
 
 
-def test_node_flags_match_state_over_random_play():
-    """Every node of trees grown along seeded random episodes stores the
-    terminal and stalled status of its own state."""
+def random_play_trees():
+    """Search trees grown along seeded random episodes on the desk and on 60
+    small random jobs, strict and literal: yields each tree after each
+    search, before the root advances."""
     rng = np.random.default_rng(11)
     jobs = [(desk_fixture(), True, 20)]
     jobs += [(random_instance(seed), seed % 2 == 0, 60) for seed in range(60)]
-    seen = {"terminal": 0, "stalled": 0, "nodes": 0}
     for spec, strict, simulations in jobs:
         state = initial_state(spec, strict=strict)
         config = SearchConfig(simulations=simulations, max_depth=None, c_puct=2.0)
         tree = SearchTree(state, UniformEvaluator(spec.width), config)
         while not tree.root.terminal:
             tree.run()
-            for node in walk(tree.root):
-                assert node.terminal == is_terminal(node.state)
-                assert node.stalled == is_stalled(node.state)
-                seen["nodes"] += 1
-                seen["terminal"] += node.terminal
-                seen["stalled"] += node.stalled
+            yield tree
             actions = legal_actions(tree.root.state, next_agent(tree.root.state))
             action = actions[int(rng.integers(len(actions)))]
             if len(actions) > 1 and action.is_noop and rng.random() < 0.7:
@@ -163,7 +168,36 @@ def test_node_flags_match_state_over_random_play():
             tree.advance_root(action)
             if tree.root.stalled:
                 break
+
+
+def test_node_flags_match_state_over_random_play():
+    """Every node of trees grown along seeded random episodes stores the
+    terminal and stalled status of its own state."""
+    seen = {"terminal": 0, "stalled": 0, "nodes": 0}
+    for tree in random_play_trees():
+        for node in walk(tree.root):
+            assert node.terminal == is_terminal(node.state)
+            assert node.stalled == is_stalled(node.state)
+            seen["nodes"] += 1
+            seen["terminal"] += node.terminal
+            seen["stalled"] += node.stalled
     assert seen["nodes"] > 8000 and seen["terminal"] > 400 and seen["stalled"] > 400
+
+
+def test_expanded_nodes_list_picks_by_column_then_noop():
+    """The order ``select_edge`` and ``SearchTree.run`` break ties by: every
+    expanded node lists its picks by strictly increasing column, NoOp last."""
+    expanded = 0
+    for tree in random_play_trees():
+        for node in walk(tree.root):
+            if not node.edges:
+                continue
+            expanded += 1
+            *picks, last = [e.action for e in node.edges]
+            assert last.is_noop
+            cols = [node.state.job.tasks[a.task].col for a in picks]
+            assert cols == sorted(set(cols))
+    assert expanded > 5000
 
 
 def test_backup_adds_reward_from_each_edge_onward():
@@ -171,11 +205,11 @@ def test_backup_adds_reward_from_each_edge_onward():
     e1 = Edge(action=pick("C"), prior=1.0, reward=-2)
     n0 = make_node([e0])
     n1 = make_node([e1])
-    backup([(n0, e0), (n1, e1)], leaf_value=-5.0)
+    backup([e0, e1], leaf_value=-5.0)
     assert e1.visits == 1 and e1.total_value == -7.0
     assert e0.visits == 1 and e0.total_value == -8.0
     assert n0.visits == 1 and n1.visits == 1
-    backup([(n0, e0)], leaf_value=0.0)
+    backup([e0], leaf_value=0.0)
     assert e0.visits == 2 and e0.total_value == -9.0
     assert e0.mean_value == -4.5
 
@@ -233,6 +267,14 @@ def test_single_action_answered_without_simulation():
     tree = SearchTree(initial_state(spec), UniformEvaluator(1), SearchConfig())
     policy, chosen = tree.run()
     assert (policy, chosen) == ([(NOOP, 1.0)], NOOP)
+    assert tree.root.visits == 0
+
+
+def test_run_without_simulations_returns_the_priors():
+    tree = SearchTree(tiny_state(), UniformEvaluator(2), SearchConfig(simulations=0))
+    policy, chosen = tree.run()
+    assert policy == [(pick("A"), 0.5 / 1.001), (pick("C"), 0.5 / 1.001), (NOOP, 0.001 / 1.001)]
+    assert chosen == pick("A")  # the leftmost of the tied highest priors
     assert tree.root.visits == 0
 
 
