@@ -10,16 +10,26 @@ agent busy are dead ends (time could never advance) and are not counted as
 routes.
 
 Small trees, on which the deepening repeats most of its work, are settled
-first by one probe pass to ``PROBE_DEPTH`` under a cap of
-``node_budget // PROBE_DEPTH`` visits. Unless it meets an unfinished route
-that deep or outgrows its cap, its per-depth counts give every field the
-deepening would report; otherwise the deepening runs from scratch.
+first by a probe that counts level by level. Prefixes that reach one state
+share its subtree, whose clocks differ only by the state's own, so a level
+holds one entry per state, keyed by what decides the play below it: the
+layout, the agent and task masks, and each busy agent's task and time
+left. The entry counts the prefixes that reach it and keeps the least of
+them by clock, then by the ranks of their moves in each node's move list,
+whose order is depth-first order; the per-depth counts are sums of those
+numbers, and the best leaf is the one the deepening meets first. The
+probe gives up when a live state lies ``PROBE_DEPTH`` deep, when its
+count exceeds ``node_budget // PROBE_DEPTH`` visits, or when a level holds
+more than ``PROBE_WIDTH`` states; the deepening then runs from scratch.
+Either pass gives the same result, so giving up costs only time.
 
-The search is one recursive closure over the game's flat state (see
+The deepening is one recursive closure over the game's flat state (see
 ``game.py``): agents and tasks are bitmasks, and busy agents' tasks and
-finish times sit in two lists. Every child of a node is built by one rule,
-the arithmetic of the agent's move and, when the move closes the epoch, of
-the earliest finish. The layout is one ``cells`` list per node, as in the
+finish times sit in two lists; the probe holds the same state in tuples,
+one per entry. Both passes build a node's children by one rule, the
+arithmetic of the agent's move and, when the move closes the epoch, of the
+earliest finish, and call the same scan of the agent's moves and the same
+epoch close. The layout is one ``cells`` sequence per node, as in the
 game; a pick's child gets its own copy, on which ``board.cascade``, the
 gravity routine the game itself uses, removes the stone, so the layout
 alone records what was taken this epoch. On a pass's last level each child
@@ -51,9 +61,14 @@ TRAJECTORIES = 1000
 # The search recurses once per level, and the deepening stops before a pass
 # goes deeper than this, well under Python's recursion limit (1,000 by default).
 MAX_DEPTH = 500
-# under MAX_DEPTH; benchmark corpus trees are at most 13 deep, and on the desk
-# job the probe gives up at its first node this deep
+# under MAX_DEPTH; benchmark corpus trees are at most 13 deep
 PROBE_DEPTH = 64
+# The most states the probe holds at one depth, which bounds its memory.
+# The widest level of 2,000 corpus jobs at each of seeds 101, 202 and 303
+# holds 103 states. The desk job's fourth level holds 306, so its probe gives
+# up there in 3 ms; with no bound it went on to 22,498 states at depth 8 and
+# peaked at 75 MB, against 30 MB for the deepening alone.
+PROBE_WIDTH = 256
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -93,26 +108,154 @@ def exhaustive_search(
     Voluntary declines are part of the action space (waiting for a partner
     to free a task can shorten the schedule), so the reported optimum is a
     true lower bound for any legal play. The budget counts prefix visits
-    summed over all deepening passes, even when the probe pass answers. A
-    tree deeper than ``MAX_DEPTH`` ends as ``BUDGET_EXCEEDED`` too, with
-    every depth up to ``MAX_DEPTH`` counted.
+    summed over all deepening passes, even when the probe answers. A tree
+    deeper than ``MAX_DEPTH`` ends as ``BUDGET_EXCEEDED`` too, with every
+    depth up to ``MAX_DEPTH`` counted.
     """
     job = JobContext.build(spec, strict=strict)
     w, col, span, dur = job.width, job.col, job.span, job.duration
     ids, pred, ok = job.ids, job.pred, job.ok  # ok: the mask of tasks each agent may do
     settled = job.settled
     labels = [str(a) for a in job.roster]
+    agents = range(len(labels))
     everyone = (1 << len(labels)) - 1
     full = job.full
+
+    def scan(grid, agent, completed):
+        """The agent's moves on ``grid``: its legal picks by column, then -1
+        to decline."""
+        allowed = ok[agent]
+        moves = []
+        last = -1
+        for t in grid[:w]:
+            if t != last and t >= 0:
+                last = t
+                if allowed >> t & 1 and not pred[t] & ~completed:
+                    moves.append(t)
+        moves.append(-1)
+        return moves
+
+    def close(idle, doing, finish):
+        """The earliest finish among busy agents (inf if none is busy), the
+        agents who finish then, and the mask of their tasks."""
+        soon, soon_agents, soon_tasks = inf, 0, 0
+        for b in agents:
+            if not idle >> b & 1:
+                if finish[b] < soon:
+                    soon, soon_agents, soon_tasks = finish[b], 1 << b, doing[b]
+                elif finish[b] == soon:
+                    soon_agents |= 1 << b
+                    soon_tasks |= doing[b]
+        return soon, soon_agents, soon_tasks
+
+    def probe():
+        """Count every depth's prefixes level by level, one entry per state,
+        and return the result the deepening would give, or None to give up.
+
+        An entry holds the number of prefixes that reach its state and, of
+        those, the least by clock, then by path. A path ranks each move in
+        its node's move list, so the order of paths is depth-first order."""
+        # key -> [prefixes, clock, path, (grid, idle, declined, completed, doing, finish)];
+        # a path is () or (the parent's path, rank, agent, task)
+        rest = (0,) * len(labels)
+        level = {None: [1, 0, (), (tuple(spec.layout()), everyone, 0, 0, rest, rest)]}
+        nodes, routes, leaves = [1], [1], [0]
+        best = None  # (clock, depth, path) of the first of the fastest leaves
+        depth = 0
+        cap = node_budget // PROBE_DEPTH  # under it even the deepening fits the budget
+        while level:
+            if depth == PROBE_DEPTH or len(level) > PROBE_WIDTH:
+                return None
+            depth += 1
+            below = {}
+            count = live = ended = 0
+            for prefixes, clock, path, (grid, idle, declined, completed, doing, finish) in level.values():
+                pend = idle & ~declined
+                bit = pend & -pend
+                agent = bit.bit_length() - 1
+                closes = pend == bit  # the epoch closes after this agent's move
+                if closes:
+                    soon, soon_agents, soon_tasks = close(idle, doing, finish)
+                for rank, t in enumerate(scan(grid, agent, completed)):
+                    count += prefixes
+                    if t < 0:
+                        if not closes:
+                            child = (idle, declined | bit, completed, clock)
+                        elif soon == inf:
+                            continue  # stalled: every agent idle and declined
+                        else:
+                            child = (idle | soon_agents, 0, completed | soon_tasks, soon)
+                    else:
+                        at = clock + dur[t]
+                        if not closes:
+                            child = (idle ^ bit, declined, completed, clock)
+                        elif at < soon:
+                            child = (idle, 0, completed | 1 << t, at)
+                        elif at == soon:
+                            child = (idle | soon_agents, 0, completed | soon_tasks | 1 << t, at)
+                        else:
+                            child = (idle ^ bit | soon_agents, 0, completed | soon_tasks, soon)
+                    step = (path, rank, agent, t)
+                    now = child[3]
+                    if child[2] == full:
+                        ended += prefixes
+                        if best is None or (now, depth, step) < best:
+                            best = (now, depth, step)
+                        continue
+                    live += prefixes
+                    if t < 0:
+                        state = (grid, *child[:3], doing, finish)
+                    else:
+                        # The first pick of a route on a floating layout settles it.
+                        cells = list(grid)
+                        cascade(cells, col, span, w, t, settled or idle != everyone or completed)
+                        state = (
+                            tuple(cells), *child[:3],
+                            doing[:agent] + (1 << t,) + doing[agent + 1:],
+                            finish[:agent] + (at,) + finish[agent + 1:],
+                        )
+                    # busy agents' tasks and time left; idle agents' entries are stale
+                    key = state[:4] + tuple(
+                        (state[4][b], state[5][b] - now) for b in agents if not child[0] >> b & 1
+                    )
+                    entry = below.get(key)
+                    if entry is None:
+                        below[key] = [prefixes, now, step, state]
+                    else:
+                        entry[0] += prefixes
+                        if (now, step) < (entry[1], entry[2]):
+                            entry[1:] = now, step, state
+            nodes.append(count)
+            routes.append(live + ended)
+            leaves.append(ended)
+            if sum(nodes) > cap:
+                return None
+            level = below
+        clock, _, path = best
+        moves = []
+        while path:
+            path, _, agent, t = path
+            moves.append((labels[agent], ids[t] if t >= 0 else None))
+        # the deepening's last pass, to this depth, is the first to find no
+        # unfinished route; pass n visits every prefix up to depth n
+        return OracleResult(
+            status=COMPLETE, optimal_makespan=clock, optimal_route=moves[::-1],
+            depth_rows=[DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(depth + 1)],
+            nodes_expanded=sum(accumulate(nodes)) - nodes[0],
+            stopped_at_depth=None,
+        )
+
+    probed = probe()
+    if probed is not None:
+        return probed
+
     doing = [0] * len(labels)  # task bit of each busy agent
     finish = [0] * len(labels)  # clock at which each busy agent's task completes
     stack: list[tuple[int, int]] = []  # (agent, task or -1 to decline) per move
-    visits = 0
+    visits = limit = 0
     best_clock = best_depth = best_route = None
-    # the probe's settings; under its cap even the deepening fits the budget
-    probing, limit, cap = True, PROBE_DEPTH, node_budget // PROBE_DEPTH
     nodes = routes = leaves = []  # counters of the current pass, rebound per pass
-    frontier = False
+    frontier = True
 
     def leaf(depth, clock):
         """Count a finished schedule whose route is ``stack``."""
@@ -133,32 +276,15 @@ def exhaustive_search(
         pend = idle & ~declined
         bit = pend & -pend
         agent = bit.bit_length() - 1
-        allowed = ok[agent]
-        moves = []
-        last = -1
-        for t in grid[:w]:
-            if t != last and t >= 0:
-                last = t
-                if allowed >> t & 1 and not pred[t] & ~completed:
-                    moves.append(t)
-        moves.append(-1)
         depth += 1
         final = depth == limit  # count the children, expand none
         closes = pend == bit  # the epoch closes after this agent's move
         if closes:
-            # the earliest finish among busy agents, who finish then, and their tasks
-            soon, soon_agents, soon_tasks = inf, 0, 0
-            for b in range(len(labels)):
-                if not idle >> b & 1:
-                    if finish[b] < soon:
-                        soon, soon_agents, soon_tasks = finish[b], 1 << b, doing[b]
-                    elif finish[b] == soon:
-                        soon_agents |= 1 << b
-                        soon_tasks |= doing[b]
+            soon, soon_agents, soon_tasks = close(idle, doing, finish)
 
         saved = doing[agent], finish[agent]
-        for t in moves:
-            if visits >= cap:
+        for t in scan(grid, agent, completed):
+            if visits >= node_budget:
                 raise _BudgetStop
             visits += 1
             nodes[depth] += 1
@@ -186,8 +312,6 @@ def exhaustive_search(
             else:
                 routes[depth] += 1
                 if final:
-                    if probing:
-                        raise _BudgetStop
                     frontier = True
                 elif t < 0:
                     expand(depth, grid, *child)
@@ -204,7 +328,7 @@ def exhaustive_search(
         nonlocal visits, nodes, routes, leaves, frontier
         nodes, routes, leaves = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
         frontier = False
-        if visits >= cap:
+        if visits >= node_budget:
             raise _BudgetStop
         visits += 1
         nodes[0] += 1
@@ -212,20 +336,7 @@ def exhaustive_search(
         expand(0, spec.layout(), everyone, 0, 0, 0)
 
     status, stopped_at = COMPLETE, None
-    try:
-        dig()
-    except _BudgetStop:
-        # Deepen from scratch. doing/finish need no reset: an agent's pick
-        # writes its entries before anything reads them.
-        stack.clear()
-        best_clock = best_depth = best_route = None
-        probing, limit, cap, visits, frontier = False, 0, node_budget, 0, True
-        completed_rows: list[DepthRow] = []
-    else:
-        # the deepening's last pass is the first to find no unfinished route
-        limit = 1 + max(d for d in range(limit + 1) if routes[d] > leaves[d])
-        completed_rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
-        visits = sum(accumulate(nodes[:limit + 1])) - nodes[0]  # passes 1..limit
+    completed_rows: list[DepthRow] = []
     while frontier:
         limit += 1
         if limit > MAX_DEPTH:

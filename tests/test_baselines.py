@@ -23,6 +23,7 @@ from hrcsched import (
     JobSpecError,
     OracleResult,
     Task,
+    desk_fixture,
     exhaustive_search,
     histogram_csv,
     initial_state,
@@ -198,6 +199,72 @@ def test_oracle_matches_reference_on_random_instances():
             assert replay_route(spec, res.optimal_route, strict=strict) == res.optimal_makespan
         checked += 1
     assert checked >= 20
+
+
+def test_probe_and_deepening_give_the_same_result(monkeypatch):
+    # With MAX_DEPTH at 0 the deepening stops before its first pass, so a
+    # complete result is the probe's; with PROBE_WIDTH at 0 the probe gives
+    # up at the root and the deepening answers.
+    checked = 0
+    for seed in range(60):
+        spec = random_instance(seed)
+        if len(spec.tasks) > 6:
+            continue
+        for strict in (True, False):
+            with monkeypatch.context() as m:
+                m.setattr(baselines, "MAX_DEPTH", 0)
+                probed = exhaustive_search(spec, strict=strict)
+            with monkeypatch.context() as m:
+                m.setattr(baselines, "PROBE_WIDTH", 0)
+                deepened = exhaustive_search(spec, strict=strict)
+            assert probed.status == COMPLETE, (seed, strict)
+            assert probed == deepened, (seed, strict)
+        checked += 1
+    assert checked >= 20
+
+
+def test_probe_gives_up_on_the_desk(monkeypatch):
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 0)
+    res = exhaustive_search(desk_fixture())
+    assert res.status == BUDGET_EXCEEDED and res.nodes_expanded == 0
+
+
+def test_probe_answers_only_within_its_visit_cap(monkeypatch):
+    # The probe counts 46 visits on the tiny job, the nodes of its depth rows
+    # summed, so it answers under a cap of 46 and gives up under 45.
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 0)
+    spec = parse_jobspec(TINY_TEXT)
+    assert exhaustive_search(spec, node_budget=46 * PROBE_DEPTH).status == COMPLETE
+    assert exhaustive_search(spec, node_budget=46 * PROBE_DEPTH - 1).status == BUDGET_EXCEEDED
+
+
+# Jobs of the benchmark corpus (perfbench/corpus.py) on which prefixes
+# that reach one state differ in route, at one clock or at several: the
+# route kept must be the one depth-first order meets first. Jobs 880 and
+# 1035 at seed 101, then 51 (literal) and 395 at seed 109, and 1820 at seed
+# 119, the only ones of 60,000 jobs (2,000 at each seed from 101 to 130)
+# on which merging a state's prefixes by the lower clock alone changes the
+# route.
+TIED_ROUTE_JOBS = [
+    ("board 3 4\nagents 1 1\ntask t0 H 1 1 0 1\ntask t1 R 2 1 1 1\ntask t2 E 4 0 0 1\n"
+     "task t3 R 1 1 2 2\ntask t4 R 1 1 3 2\ntask t5 E 2 0 1 1\n", True),
+    ("board 3 4\nagents 1 1\ntask t0 R 8 2 0 1\ntask t1 H 6 0 0 2\ntask t2 R 3 0 1 2\n"
+     "task t3 H 1 1 2 2\ntask t4 R 2 1 3 2\ntask t5 E 8 0 2 1\n", True),
+    ("board 3 4\nagents 1 1\ntask t0 E 9 2 0 1\ntask t1 R 8 2 1 1\ntask t2 H 2 2 2 1\n"
+     "task t3 H 1 1 0 1\ntask t4 H 1 0 1 2\n", False),
+    ("board 3 4\nagents 1 1\ntask t0 E 4 0 0 1\ntask t1 E 6 2 0 1\ntask t2 R 7 1 0 1\n"
+     "task t3 H 5 1 1 1\ntask t4 R 7 0 2 2\ntask t5 R 5 0 3 1\n", True),
+    ("board 3 4\nagents 1 1\ntask t0 E 9 0 0 1\ntask t1 H 1 1 0 1\ntask t2 H 6 0 1 1\n"
+     "task t3 E 1 2 0 1\ntask t4 H 2 0 2 1\ntask t5 E 3 1 1 2\n", True),
+]
+
+
+@pytest.mark.parametrize(
+    "text, strict", TIED_ROUTE_JOBS, ids=["101-880", "101-1035", "109-51", "109-395", "119-1820"]
+)
+def test_oracle_keeps_the_first_of_equally_fast_routes(text, strict):
+    spec = parse_jobspec(text)
+    assert exhaustive_search(spec, strict=strict) == reference_search(spec, strict=strict)
 
 
 # X floats over an empty cell until the first pick settles the board.

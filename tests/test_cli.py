@@ -25,14 +25,14 @@ task B R 3 0 1
 @pytest.fixture()
 def tiny_path(tmp_path):
     path = tmp_path / "tiny.job"
-    path.write_text(TINY_TEXT)
+    path.write_text(TINY_TEXT, encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture()
 def stack_path(tmp_path):
     path = tmp_path / "stack.job"
-    path.write_text(STACK_TEXT)
+    path.write_text(STACK_TEXT, encoding="utf-8")
     return str(path)
 
 
@@ -48,8 +48,8 @@ def test_solve_writes_schedule_and_log(tiny_path, tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == "makespan 7\n"
-    schedule = (out / "schedule.csv").read_text()
-    log = (out / "episode_log.csv").read_text()
+    schedule = (out / "schedule.csv").read_text(encoding="utf-8")
+    log = (out / "episode_log.csv").read_text(encoding="utf-8")
     assert schedule.splitlines()[0] == "agent,task,start,end"
     assert log.splitlines()[0] == "epoch,clock,agent,action,reward"
     # the rewards recorded in the log add up to the printed makespan
@@ -104,7 +104,7 @@ DESK_SOLVES = {
 @pytest.mark.parametrize("seed", sorted(DESK_SOLVES))
 def test_desk_solve_schedules_are_pinned(seed, tmp_path, capsys):
     job = tmp_path / "desk.job"
-    job.write_text(serialize_jobspec(desk_fixture()))
+    job.write_text(serialize_jobspec(desk_fixture()), encoding="utf-8")
     out = tmp_path / "solve"
     argv = ["solve", "--jobspec", str(job), "--out", str(out), "--simulations", "40",
             "--max-depth", "0", "--seed", str(seed)]
@@ -121,7 +121,7 @@ def test_oracle_complete_output(tiny_path, tmp_path, capsys):
     assert capsys.readouterr().out == (
         "optimal makespan 6\ncomplete routes 8\nnodes visited 136\n"
     )
-    assert (out / "oracle_report.csv").read_text() == (
+    assert (out / "oracle_report.csv").read_text(encoding="utf-8") == (
         "depth,routes,nodes\n0,1,1\n1,3,3\n2,4,5\n3,7,7\n4,7,10\n5,8,9\n6,6,11\n"
     )
 
@@ -134,7 +134,7 @@ def test_oracle_budget_exceeded_output(tiny_path, tmp_path, capsys):
     assert capsys.readouterr().out == (
         "node budget exhausted after 5 nodes\ndeepest fully counted depth 1\n"
     )
-    assert (out / "oracle_report.csv").read_text() == "depth,routes,nodes\n0,1,1\n1,3,3\n"
+    assert (out / "oracle_report.csv").read_text(encoding="utf-8") == "depth,routes,nodes\n0,1,1\n1,3,3\n"
 
 
 def test_oracle_stopped_by_the_depth_cap(tmp_path, monkeypatch, capsys):
@@ -179,14 +179,14 @@ def test_baseline_output(tiny_path, tmp_path, capsys):
     assert capsys.readouterr().out == (
         "trajectories 300\nmean makespan 7.92667\nmin makespan 7\n"
     )
-    assert (out / "histogram.csv").read_text() == "makespan,count\n7,161\n9,139\n"
+    assert (out / "histogram.csv").read_text(encoding="utf-8") == "makespan,count\n7,161\n9,139\n"
 
 
 def test_desk_baseline_histogram_is_pinned(tmp_path, capsys):
     # 200 random desk episodes walk every layer of the game core: legal
     # picks, gravity on a 50-stone board and epoch closing
     job = tmp_path / "desk.job"
-    job.write_text(serialize_jobspec(desk_fixture()))
+    job.write_text(serialize_jobspec(desk_fixture()), encoding="utf-8")
     out = tmp_path / "base"
     argv = ["baseline", "--jobspec", str(job), "--out", str(out), "--trajectories", "200",
             "--seed", "0"]
@@ -238,7 +238,7 @@ def test_missing_jobspec_exits_3(tmp_path, capsys):
 
 def test_invalid_jobspec_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.job"
-    path.write_text("agents 1 1\n")
+    path.write_text("agents 1 1\n", encoding="utf-8")
     code = run_cli(["solve", "--jobspec", str(path)])
     assert code == 3
     assert "invalid jobspec" in capsys.readouterr().err
@@ -247,7 +247,7 @@ def test_invalid_jobspec_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "baseline", "oracle"])
 def test_job_without_a_row_0_stone_exits_3(command, tmp_path, capsys):
     path = tmp_path / "floating.job"
-    path.write_text("board 2 3\nagents 1 1\ntask a E 1 0 1\n")
+    path.write_text("board 2 3\nagents 1 1\ntask a E 1 0 1\n", encoding="utf-8")
     code = run_cli([command, "--jobspec", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "invalid jobspec: no task on row 0" in capsys.readouterr().err
@@ -255,7 +255,7 @@ def test_job_without_a_row_0_stone_exits_3(command, tmp_path, capsys):
 
 def test_garbage_checkpoint_exits_4(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "weights.txt"
-    ckpt.write_text("not a checkpoint\n")
+    ckpt.write_text("not a checkpoint\n", encoding="utf-8")
     code = run_cli(
         ["solve", "--jobspec", tiny_path, "--out", str(tmp_path / "o"),
          "--checkpoint", str(ckpt)]
@@ -302,7 +302,7 @@ def test_jobspec_with_a_byte_order_mark_is_read(tiny_path, tmp_path, capsys):
 def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     desk = desk_fixture()
     job = tmp_path / "desk.job"
-    job.write_text(serialize_jobspec(desk))
+    job.write_text(serialize_jobspec(desk), encoding="utf-8")
     ckpt = tmp_path / "nan.txt"
     params = init_params(desk.height, desk.width)
     params["value_b"][:] = np.nan
@@ -319,7 +319,7 @@ def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
 def test_mismatched_checkpoint_exits_4(tmp_path, capsys):
     spec_path = tmp_path / "wide.job"
     spec_path.write_text(
-        "board 4 2\nagents 1 1\ntask a H 2 0 0\ntask b R 2 2 0\n"
+        "board 4 2\nagents 1 1\ntask a H 2 0 0\ntask b R 2 2 0\n", encoding="utf-8"
     )
     ckpt = tmp_path / "small.txt"
     save_checkpoint(init_params(2, 2, filters=(4,), dense_units=8), ckpt)
@@ -335,7 +335,7 @@ def test_checkpoint_with_wrong_policy_width_exits_4(tmp_path, capsys):
     # the desk's net (15 high, 8 wide) flattens to the same size as a net
     # for 8 high and 15 wide, so only the policy head tells them apart
     spec_path = tmp_path / "turned.job"
-    spec_path.write_text("board 15 8\nagents 1 1\ntask a H 2 0 0\ntask b R 2 9 0\n")
+    spec_path.write_text("board 15 8\nagents 1 1\ntask a H 2 0 0\ntask b R 2 9 0\n", encoding="utf-8")
     ckpt = tmp_path / "desk.txt"
     save_checkpoint(init_params(15, 8), ckpt)
     code = run_cli(
@@ -375,11 +375,11 @@ def test_bad_search_settings_exit_2(tiny_path, tmp_path, capsys, argv_extra):
 )
 def test_unwritable_out_exits_1(tiny_path, tmp_path, capsys, argv):
     taken = tmp_path / "taken"
-    taken.write_text("a file, not a directory\n")
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
     code = run_cli(argv + ["--jobspec", tiny_path, "--out", str(taken)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot write")
-    assert taken.read_text() == "a file, not a directory\n"
+    assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
 @pytest.mark.parametrize(
@@ -397,7 +397,7 @@ def test_unwritable_out_exits_before_the_work(tiny_path, tmp_path, capsys, monke
 
     monkeypatch.setattr(f"hrcsched.cli.{work}", refuse)
     taken = tmp_path / "taken"
-    taken.write_text("")
+    taken.write_text("", encoding="utf-8")
     code = run_cli(argv + ["--jobspec", tiny_path, "--out", str(taken / "sub")])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
@@ -446,7 +446,7 @@ def test_train_writes_log_and_checkpoints(tiny_path, tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.splitlines()[-1].startswith("best makespan ")
     assert sum(1 for line in text.splitlines() if line.startswith("iteration ")) == 2
-    log = (out / "training_log.csv").read_text()
+    log = (out / "training_log.csv").read_text(encoding="utf-8")
     assert log.splitlines()[0] == (
         "iteration,episodes,mean_makespan,best_makespan,policy_loss,value_loss"
     )
@@ -484,13 +484,13 @@ def test_desk_training_log_is_pinned(tmp_path, capsys):
     # replay buffer and SGD; losses are printed to six significant digits,
     # so the low bits a BLAS library may move do not show
     job = tmp_path / "desk.job"
-    job.write_text(serialize_jobspec(desk_fixture()))
+    job.write_text(serialize_jobspec(desk_fixture()), encoding="utf-8")
     out = tmp_path / "train"
     argv = ["train", "--jobspec", str(job), "--out", str(out), "--iterations", "2",
             "--episodes", "2", "--seed", "0"]
     assert run_cli(argv) == 0
     capsys.readouterr()
-    assert (out / "training_log.csv").read_text() == (
+    assert (out / "training_log.csv").read_text(encoding="utf-8") == (
         "iteration,episodes,mean_makespan,best_makespan,policy_loss,value_loss\n"
         "0,2,157.5,157,6.59263,8151.12\n"
         "1,2,157,157,4.07308,482.997\n"
@@ -518,7 +518,7 @@ def test_advise_full_session(tiny_path, tmp_path, capsys, monkeypatch):
         "R1 starts B\nclock advances to 7\n"
         "makespan 7\n"
     )
-    schedule = (out / "schedule.csv").read_text()
+    schedule = (out / "schedule.csv").read_text(encoding="utf-8")
     assert schedule == "agent,task,start,end\nH1,A,0,2\nR1,C,0,4\nR1,B,4,7\n"
 
 
@@ -537,7 +537,7 @@ def test_advise_rejects_bad_input_then_recovers(tiny_path, tmp_path, capsys, mon
 def test_advise_names_the_unfinished_predecessor(tmp_path, capsys, monkeypatch):
     # B falls into the bottom row once H1 takes A, but A is still running
     path = tmp_path / "pair.job"
-    path.write_text("board 2 2\nagents 2 0\ntask A H 3 0 0\ntask B H 1 0 1\ntask C H 5 1 0\n")
+    path.write_text("board 2 2\nagents 2 0\ntask A H 3 0 0\ntask B H 1 0 1\ntask C H 5 1 0\n", encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.StringIO("pick A\npick B\nquit\n"))
     code = run_cli(["advise", "--jobspec", str(path), "--out", str(tmp_path / "a")])
     assert code == 0
@@ -548,7 +548,7 @@ def test_advise_names_picked_and_done_tasks(tmp_path, capsys, monkeypatch):
     # H1 takes x, so x has left the board when H2 asks for it; x finishes
     # at clock 1 and then reads as done
     path = tmp_path / "row.job"
-    path.write_text("board 3 1\nagents 2 0\ntask x E 1 0 0\ntask y E 2 1 0\ntask z E 1 2 0\n")
+    path.write_text("board 3 1\nagents 2 0\ntask x E 1 0 0\ntask y E 2 1 0\ntask z E 1 2 0\n", encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.StringIO("pick x\npick x\npick y\npick x\nquit\n"))
     code = run_cli(["advise", "--jobspec", str(path), "--out", str(tmp_path / "a")])
     text = capsys.readouterr().out
@@ -562,12 +562,12 @@ def test_advise_quit_writes_partial_schedule(tiny_path, tmp_path, capsys, monkey
     code, text, out = advise_session(tiny_path, tmp_path, capsys, monkeypatch, "quit\n")
     assert code == 0
     assert text == "\nR.\nHE\nclock 0\nH1 may pick: A, C\nH1> stopped at clock 0\n"
-    assert (out / "schedule.csv").read_text() == "agent,task,start,end\n"
+    assert (out / "schedule.csv").read_text(encoding="utf-8") == "agent,task,start,end\n"
 
 
 def test_advise_checks_out_before_the_first_prompt(tiny_path, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "afile"
-    taken.write_text("")
+    taken.write_text("", encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.StringIO("pick A\nwait\n"))
     code = run_cli(["advise", "--jobspec", tiny_path, "--out", str(taken)])
     captured = capsys.readouterr()
@@ -584,7 +584,7 @@ def test_advise_eof_quits(tiny_path, tmp_path, capsys, monkeypatch):
 
 def test_advise_refuses_stalling_wait(tmp_path, capsys, monkeypatch):
     path = tmp_path / "solo.job"
-    path.write_text("board 1 1\nagents 1 0\ntask z H 1 0 0\n")
+    path.write_text("board 1 1\nagents 1 0\ntask z H 1 0 0\n", encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.StringIO("wait\npick z\n"))
     out = tmp_path / "a"
     code = run_cli(["advise", "--jobspec", str(path), "--out", str(out)])
@@ -603,7 +603,7 @@ def test_advise_refuses_wait_that_leaves_no_pick(tiny_path, tmp_path, capsys, mo
     assert code == 0
     assert "H1> waiting now would leave every agent idle; pick a task\n" in text
     assert text.endswith("makespan 9\n")
-    assert (out / "schedule.csv").read_text() == (
+    assert (out / "schedule.csv").read_text(encoding="utf-8") == (
         "agent,task,start,end\nH1,A,4,6\nR1,C,0,4\nR1,B,6,9\n"
     )
 
@@ -613,7 +613,7 @@ def test_module_entry_point(tiny_path, tmp_path):
         [sys.executable, "-m", "hrcsched.cli", "solve", "--jobspec", tiny_path,
          "--out", str(tmp_path / "m")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("makespan ")
