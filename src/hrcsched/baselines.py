@@ -26,19 +26,20 @@ Either pass gives the same result, so giving up costs only time.
 The deepening is one recursive closure over the game's flat state (see
 ``game.py``): agents and tasks are bitmasks, and busy agents' tasks and
 finish times sit in two lists; the probe holds the same state in tuples,
-one per entry. Both passes build a node's children by one rule, the
-arithmetic of the agent's move and, when the move closes the epoch, of the
-earliest finish, and call the same scan of the agent's moves and the same
-epoch close. The layout is one ``cells`` sequence per node, as in the
-game; a pick's child gets its own copy, on which ``board.cascade``, the
-gravity routine the game itself uses, removes the stone, so the layout
-alone records what was taken this epoch. On a pass's last level each child
-is still one visit checked against the budget, and is counted as finished,
-stalled or on the frontier, but not expanded. A layout with floating
-stones settles on a route's first pick, as it does in play. The oracle
-keeps this scan and arithmetic of its own rather than stepping with
-``legal_actions`` and ``transition``, which gives the same results in 1.4
-to 1.6 times the time (400 corpus jobs, seed 101).
+one per entry. Both passes expand a node through one routine, ``moves``,
+which scans the next agent's picks by column and gives each move's child
+by the arithmetic of the move and, when it closes the epoch, of the
+earliest finish. Both keep the first of the fastest leaves by one rule.
+The layout is one ``cells`` sequence per node, as in the game; a pick's
+child gets its own copy, on which ``board.cascade``, the gravity routine
+the game itself uses, removes the stone, so the layout alone records what
+was taken this epoch. On a pass's last level each child is still one visit
+checked against the budget, and is counted as finished, stalled or on the
+frontier, but not expanded. A layout with floating stones settles on a
+route's first pick, as it does in play. The oracle keeps ``moves`` of its
+own rather than stepping with ``legal_actions`` and ``transition``, which
+gives the same results in 1.45 to 1.55 times the time (2,000 corpus jobs,
+seed 101).
 
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.
@@ -121,44 +122,75 @@ def exhaustive_search(
     everyone = (1 << len(labels)) - 1
     full = job.full
 
-    def scan(grid, agent, completed):
-        """The agent's moves on ``grid``: its legal picks by column, then -1
-        to decline."""
+    def moves(grid, idle, declined, completed, clock, doing, finish):
+        """The next agent and its moves in move order, its legal picks by
+        column and then the decline, each as ``(task or -1, child)``. The
+        child is ``(idle, declined, completed, clock)`` after the move, or
+        None for a decline that stalls: every agent idle and declined.
+
+        ``idle`` and ``declined`` are agent masks, ``completed`` a task
+        mask; ``doing`` and ``finish`` give each busy agent's task bit and
+        the clock at which it completes."""
+        pend = idle & ~declined
+        bit = pend & -pend
+        agent = bit.bit_length() - 1
+        closes = pend == bit  # the epoch closes after this agent's move
+        if closes:  # the earliest finish, the agents who finish then, and their tasks
+            soon, soon_agents, soon_tasks = inf, 0, 0
+            for b in agents:
+                if not idle >> b & 1:
+                    if finish[b] < soon:
+                        soon, soon_agents, soon_tasks = finish[b], 1 << b, doing[b]
+                    elif finish[b] == soon:
+                        soon_agents |= 1 << b
+                        soon_tasks |= doing[b]
         allowed = ok[agent]
-        moves = []
+        out = []
         last = -1
         for t in grid[:w]:
             if t != last and t >= 0:
                 last = t
                 if allowed >> t & 1 and not pred[t] & ~completed:
-                    moves.append(t)
-        moves.append(-1)
-        return moves
+                    at = clock + dur[t]
+                    if not closes:
+                        child = (idle ^ bit, declined, completed, clock)
+                    elif at < soon:
+                        child = (idle, 0, completed | 1 << t, at)
+                    elif at == soon:
+                        child = (idle | soon_agents, 0, completed | soon_tasks | 1 << t, at)
+                    else:
+                        child = (idle ^ bit | soon_agents, 0, completed | soon_tasks, soon)
+                    out.append((t, child))
+        if not closes:
+            child = (idle, declined | bit, completed, clock)
+        elif soon == inf:
+            child = None
+        else:
+            child = (idle | soon_agents, 0, completed | soon_tasks, soon)
+        out.append((-1, child))
+        return agent, out
 
-    def close(idle, doing, finish):
-        """The earliest finish among busy agents (inf if none is busy), the
-        agents who finish then, and the mask of their tasks."""
-        soon, soon_agents, soon_tasks = inf, 0, 0
-        for b in agents:
-            if not idle >> b & 1:
-                if finish[b] < soon:
-                    soon, soon_agents, soon_tasks = finish[b], 1 << b, doing[b]
-                elif finish[b] == soon:
-                    soon_agents |= 1 << b
-                    soon_tasks |= doing[b]
-        return soon, soon_agents, soon_tasks
+    def route(path):
+        """The moves of ``path`` as (agent label, task id or None), first
+        move first. A path is ``()`` or ``(the parent's path, rank, agent,
+        task)``, the rank being the move's place in ``moves``' list, so paths
+        of one depth sort in depth-first order. Either pass keeps the first
+        of the fastest leaves, the least ``(clock, depth, path)``."""
+        out = []
+        while path:
+            path, _, agent, t = path
+            out.append((labels[agent], ids[t] if t >= 0 else None))
+        return out[::-1]
 
     def probe():
         """Count every depth's prefixes level by level, one entry per state,
         and return the result the deepening would give, or None to give up.
 
         An entry holds the number of prefixes that reach its state and, of
-        those, the least by clock, then by path. A path ranks each move in
-        its node's move list, so the order of paths is depth-first order."""
-        # key -> [prefixes, clock, path, (grid, idle, declined, completed, doing, finish)];
-        # a path is () or (the parent's path, rank, agent, task)
+        those, the path of the least by clock, then by path."""
+        # key -> [prefixes, path, (grid, idle, declined, completed, clock, doing, finish)]
         rest = (0,) * len(labels)
-        level = {None: [1, 0, (), (tuple(spec.layout()), everyone, 0, 0, rest, rest)]}
+        level = {None: [1, (), (tuple(spec.layout()), everyone, 0, 0, 0, rest, rest)]}
         nodes, routes, leaves = [1], [1], [0]
         best = None  # (clock, depth, path) of the first of the fastest leaves
         depth = 0
@@ -169,32 +201,13 @@ def exhaustive_search(
             depth += 1
             below = {}
             count = live = ended = 0
-            for prefixes, clock, path, (grid, idle, declined, completed, doing, finish) in level.values():
-                pend = idle & ~declined
-                bit = pend & -pend
-                agent = bit.bit_length() - 1
-                closes = pend == bit  # the epoch closes after this agent's move
-                if closes:
-                    soon, soon_agents, soon_tasks = close(idle, doing, finish)
-                for rank, t in enumerate(scan(grid, agent, completed)):
-                    count += prefixes
-                    if t < 0:
-                        if not closes:
-                            child = (idle, declined | bit, completed, clock)
-                        elif soon == inf:
-                            continue  # stalled: every agent idle and declined
-                        else:
-                            child = (idle | soon_agents, 0, completed | soon_tasks, soon)
-                    else:
-                        at = clock + dur[t]
-                        if not closes:
-                            child = (idle ^ bit, declined, completed, clock)
-                        elif at < soon:
-                            child = (idle, 0, completed | 1 << t, at)
-                        elif at == soon:
-                            child = (idle | soon_agents, 0, completed | soon_tasks | 1 << t, at)
-                        else:
-                            child = (idle ^ bit | soon_agents, 0, completed | soon_tasks, soon)
+            for prefixes, path, state in level.values():
+                grid, idle, _, completed, clock, doing, finish = state
+                agent, children = moves(*state)
+                count += prefixes * len(children)
+                for rank, (t, child) in enumerate(children):
+                    if child is None:
+                        continue
                     step = (path, rank, agent, t)
                     now = child[3]
                     if child[2] == full:
@@ -204,27 +217,27 @@ def exhaustive_search(
                         continue
                     live += prefixes
                     if t < 0:
-                        state = (grid, *child[:3], doing, finish)
+                        after = (grid, *child, doing, finish)
                     else:
                         # The first pick of a route on a floating layout settles it.
                         cells = list(grid)
                         cascade(cells, col, span, w, t, settled or idle != everyone or completed)
-                        state = (
-                            tuple(cells), *child[:3],
+                        after = (
+                            tuple(cells), *child,
                             doing[:agent] + (1 << t,) + doing[agent + 1:],
-                            finish[:agent] + (at,) + finish[agent + 1:],
+                            finish[:agent] + (clock + dur[t],) + finish[agent + 1:],
                         )
                     # busy agents' tasks and time left; idle agents' entries are stale
-                    key = state[:4] + tuple(
-                        (state[4][b], state[5][b] - now) for b in agents if not child[0] >> b & 1
+                    key = after[:4] + tuple(
+                        (after[5][b], after[6][b] - now) for b in agents if not child[0] >> b & 1
                     )
                     entry = below.get(key)
                     if entry is None:
-                        below[key] = [prefixes, now, step, state]
+                        below[key] = [prefixes, step, after]
                     else:
                         entry[0] += prefixes
-                        if (now, step) < (entry[1], entry[2]):
-                            entry[1:] = now, step, state
+                        if (now, step) < (entry[2][4], entry[1]):
+                            entry[1:] = step, after
             nodes.append(count)
             routes.append(live + ended)
             leaves.append(ended)
@@ -232,14 +245,10 @@ def exhaustive_search(
                 return None
             level = below
         clock, _, path = best
-        moves = []
-        while path:
-            path, _, agent, t = path
-            moves.append((labels[agent], ids[t] if t >= 0 else None))
         # the deepening's last pass, to this depth, is the first to find no
         # unfinished route; pass n visits every prefix up to depth n
         return OracleResult(
-            status=COMPLETE, optimal_makespan=clock, optimal_route=moves[::-1],
+            status=COMPLETE, optimal_makespan=clock, optimal_route=route(path),
             depth_rows=[DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(depth + 1)],
             nodes_expanded=sum(accumulate(nodes)) - nodes[0],
             stopped_at_depth=None,
@@ -251,105 +260,62 @@ def exhaustive_search(
 
     doing = [0] * len(labels)  # task bit of each busy agent
     finish = [0] * len(labels)  # clock at which each busy agent's task completes
-    stack: list[tuple[int, int]] = []  # (agent, task or -1 to decline) per move
     visits = limit = 0
-    best_clock = best_depth = best_route = None
+    best = None  # (clock, depth, path) of the first of the fastest leaves
     nodes = routes = leaves = []  # counters of the current pass, rebound per pass
     frontier = True
 
-    def leaf(depth, clock):
-        """Count a finished schedule whose route is ``stack``."""
-        nonlocal best_clock, best_depth, best_route
-        routes[depth] += 1
-        leaves[depth] += 1
-        # the deepening meets the shallowest of the fastest leaves first
-        if best_clock is None or clock < best_clock or clock == best_clock and depth < best_depth:
-            best_clock, best_depth = clock, depth
-            best_route = [(labels[a], ids[t] if t >= 0 else None) for a, t in stack]
-
-    def expand(depth, grid, idle, declined, completed, clock):
-        """Visit the children of a live node on layout ``grid``.
-
-        ``idle`` and ``declined`` are agent masks, ``completed`` a task
-        mask; busy agents' tasks sit in ``doing`` and ``finish``."""
-        nonlocal visits, frontier
-        pend = idle & ~declined
-        bit = pend & -pend
-        agent = bit.bit_length() - 1
+    def expand(depth, path, grid, idle, declined, completed, clock):
+        """Visit the children of a live node on layout ``grid``, reached by
+        ``path``; busy agents' tasks sit in ``doing`` and ``finish``."""
+        nonlocal visits, frontier, best
         depth += 1
         final = depth == limit  # count the children, expand none
-        closes = pend == bit  # the epoch closes after this agent's move
-        if closes:
-            soon, soon_agents, soon_tasks = close(idle, doing, finish)
-
+        agent, children = moves(grid, idle, declined, completed, clock, doing, finish)
         saved = doing[agent], finish[agent]
-        for t in scan(grid, agent, completed):
+        for rank, (t, child) in enumerate(children):
             if visits >= node_budget:
                 raise _BudgetStop
             visits += 1
             nodes[depth] += 1
-            if t < 0:
-                if not closes:
-                    child = (idle, declined | bit, completed, clock)
-                elif soon == inf:
-                    continue  # stalled: every agent idle and declined
-                else:
-                    child = (idle | soon_agents, 0, completed | soon_tasks, soon)
-            else:
-                at = clock + dur[t]
-                doing[agent], finish[agent] = 1 << t, at
-                if not closes:
-                    child = (idle ^ bit, declined, completed, clock)
-                elif at < soon:
-                    child = (idle, 0, completed | 1 << t, at)
-                elif at == soon:
-                    child = (idle | soon_agents, 0, completed | soon_tasks | 1 << t, at)
-                else:
-                    child = (idle ^ bit | soon_agents, 0, completed | soon_tasks, soon)
-            stack.append((agent, t))
+            if child is None:
+                continue
+            routes[depth] += 1
             if child[2] == full:
-                leaf(depth, child[3])
+                leaves[depth] += 1
+                found = (child[3], depth, (path, rank, agent, t))
+                if best is None or found < best:
+                    best = found
+            elif final:
+                frontier = True
+            elif t < 0:
+                expand(depth, (path, rank, agent, t), grid, *child)
             else:
-                routes[depth] += 1
-                if final:
-                    frontier = True
-                elif t < 0:
-                    expand(depth, grid, *child)
-                else:
-                    # The first pick of a route on a floating layout settles it.
-                    cells = grid[:]
-                    cascade(cells, col, span, w, t, settled or idle != everyone or completed)
-                    expand(depth, cells, *child)
-            stack.pop()
+                doing[agent], finish[agent] = 1 << t, clock + dur[t]
+                # The first pick of a route on a floating layout settles it.
+                cells = grid[:]
+                cascade(cells, col, span, w, t, settled or idle != everyone or completed)
+                expand(depth, (path, rank, agent, t), cells, *child)
         doing[agent], finish[agent] = saved
-
-    def dig():
-        """One depth-first pass from the root to ``limit`` on fresh counters."""
-        nonlocal visits, nodes, routes, leaves, frontier
-        nodes, routes, leaves = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
-        frontier = False
-        if visits >= node_budget:
-            raise _BudgetStop
-        visits += 1
-        nodes[0] += 1
-        routes[0] += 1
-        expand(0, spec.layout(), everyone, 0, 0, 0)
 
     status, stopped_at = COMPLETE, None
     completed_rows: list[DepthRow] = []
     while frontier:
         limit += 1
-        if limit > MAX_DEPTH:
-            status, stopped_at = BUDGET_EXCEEDED, limit
-            break
+        nodes, routes, leaves = [1] + [0] * limit, [1] + [0] * limit, [0] * (limit + 1)
+        frontier = False
         try:
-            dig()
+            if limit > MAX_DEPTH or visits >= node_budget:  # the depth cap, or no root visit
+                raise _BudgetStop
+            visits += 1
+            expand(0, (), spec.layout(), everyone, 0, 0, 0)
         except _BudgetStop:
             status, stopped_at = BUDGET_EXCEEDED, limit
             break
         completed_rows = [DepthRow(d, routes[d], nodes[d], leaves[d]) for d in range(limit + 1)]
     return OracleResult(
-        status=status, optimal_makespan=best_clock, optimal_route=best_route,
+        status=status, optimal_makespan=best[0] if best else None,
+        optimal_route=route(best[2]) if best else None,
         depth_rows=completed_rows, nodes_expanded=visits, stopped_at_depth=stopped_at,
     )
 

@@ -69,10 +69,13 @@ class JobSpec:
 
 def check_task_id(task_id: str, line=None) -> None:
     """An id is one token of the job format, as ``str.split`` cuts a line,
-    and an unquoted CSV field."""
+    and an unquoted CSV field that ``episode_log.csv`` cannot mistake for a
+    wait, which it writes as ``noop``."""
     if task_id.split() != [task_id] or "#" in task_id or "," in task_id or '"' in task_id:
         message = f"task id {task_id!r} may not contain whitespace, '#', ',' or '\"', nor be empty"
         raise JobSpecError(message, line)
+    if task_id == "noop":
+        raise JobSpecError("task id 'noop' is taken: episode_log.csv writes a wait as noop", line)
 
 
 def _validate(spec: JobSpec) -> None:

@@ -6,6 +6,7 @@ branch-and-bound optimum, and a plain iterative deepening that must
 reproduce every field of the oracle's result.
 """
 
+import gc
 import sys
 import warnings
 from dataclasses import replace
@@ -227,6 +228,36 @@ def test_probe_gives_up_on_the_desk(monkeypatch):
     monkeypatch.setattr(baselines, "MAX_DEPTH", 0)
     res = exhaustive_search(desk_fixture())
     assert res.status == BUDGET_EXCEEDED and res.nodes_expanded == 0
+
+
+@pytest.mark.parametrize("budget", [5_000, 20_000, 100_000])
+def test_desk_deepening_matches_reference_search(budget):
+    # the probe gives up on the desk, so the deepening answers
+    spec = desk_fixture()
+    expected = reference_search(spec, node_budget=budget)
+    assert exhaustive_search(spec, node_budget=budget) == expected
+
+
+def test_probe_answered_calls_leave_no_cyclic_garbage(monkeypatch):
+    # The probe's states and paths are tuples that refer only downwards; the
+    # deepening's recursive closure, a cycle, is made only when the probe
+    # gives up. With MAX_DEPTH at 0 a complete result is the probe's.
+    specs = [parse_jobspec(TINY_TEXT)] + [random_instance(seed) for seed in range(60)]
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "MAX_DEPTH", 0)
+        calls = [
+            (spec, strict) for spec in specs for strict in (True, False)
+            if exhaustive_search(spec, strict=strict).status == COMPLETE
+        ]
+    assert len(calls) >= 40
+    gc.collect()
+    gc.disable()
+    try:
+        for spec, strict in calls:
+            exhaustive_search(spec, strict=strict)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_probe_answers_only_within_its_visit_cap(monkeypatch):

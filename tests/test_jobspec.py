@@ -69,6 +69,8 @@ def test_round_trip():
         # ids are written unquoted into schedule.csv and episode_log.csv
         ("board 2 2\nagents 1 1\ntask a,b E 1 0 0\n", "line 3: task id 'a,b'"),
         ('board 2 2\nagents 1 1\ntask a"b E 1 0 0\n', "line 3: task id 'a\"b'"),
+        # episode_log.csv writes a wait as noop
+        ("board 2 2\nagents 1 1\ntask noop E 1 0 0\n", "line 3: task id 'noop'"),
         ("board 2 2\nagents 1 1\ntask a E x 0 0\n", "expected an integer"),
         ("board 2 2\nagents 1 1\nwidget a\n", "unknown directive"),
         ("board 2 2\nagents 1 1\n", "at least one task"),
@@ -137,6 +139,7 @@ def test_error_reports_line_number():
         ((2, 2, 1, 1, (Task("a b", "E", 1, 0, 0),)), "task id 'a b'"),
         ((2, 2, 1, 1, (Task("a\tb", "E", 1, 0, 0),)), r"task id 'a\\tb'"),
         ((2, 2, 1, 1, (Task("x#y", "E", 1, 0, 0),)), "task id 'x#y'"),
+        ((2, 2, 1, 1, (Task("noop", "E", 1, 0, 0),)), "task id 'noop'"),
         # serialize_jobspec would write these, and parse_jobspec reject them
         ((2, 2, 1, 1, (Task("a", "E", 1.5, 0, 0),)), "task 'a' .* integers, got 1.5 0 0 1"),
         ((2, 2, True, 0, (Task("a", "E", 1, 0, 0),)), "integers, got board 2 2, agents True 0"),
@@ -146,7 +149,7 @@ def test_error_reports_line_number():
     ],
     ids=[
         "duplicate", "kind", "duration", "no-human", "no-tasks", "cells", "comma",
-        "empty-id", "space-id", "tab-id", "hash-id", "float-duration", "bool-humans",
+        "empty-id", "space-id", "tab-id", "hash-id", "noop-id", "float-duration", "bool-humans",
         "float-width", "int-id", "not-a-task",
     ],
 )
