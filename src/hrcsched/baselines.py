@@ -345,8 +345,10 @@ def random_rollouts(
 
     def chooser(state, agent, actions, rng):
         picks = len(actions) - 1  # the picks come first, NoOp last
-        if not picks:
-            return actions[-1]
+        if picks < 2:
+            # NoOp, or the only pick: numpy draws nothing from the stream for
+            # rng.integers(1), so skipping that call leaves every later draw as it was
+            return actions[0]
         return actions[int(rng.integers(picks))]
 
     if trajectories < 1:

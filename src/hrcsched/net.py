@@ -14,7 +14,8 @@ and shapes alone, which keeps the checkpoint format flat.
 
 Training runs ``_conv2d`` on every block. ``NetEvaluator`` reads the first
 block's output from a table over the 256 inputs a 2x2 kernel can see on
-a one-hot map, and runs ``_forward`` from the second block on; its results
+a one-hot map, a pooled block's in one gather of the rows its pooling
+windows hold, and runs ``_forward`` from the second block on; its results
 equal ``forward``'s bit for bit.
 """
 
@@ -159,7 +160,9 @@ def _conv2d(x: np.ndarray, wmat: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _maxpool(x: np.ndarray) -> np.ndarray:
     """Each 2x2 window's maximum, as the elementwise maximum of the four
     strided views of the window's cells; rows and columns beyond the last
-    whole window are dropped."""
+    whole window are dropped. A reshape and a max over the window axes is
+    faster on the desk's second block at batch 1, but takes 4.5 times as
+    long on its first block at batch 32, which training runs."""
     h, w = x.shape[1] // POOL * POOL, x.shape[2] // POOL * POOL
     top = np.maximum(x[:, 0:h:POOL, 0:w:POOL], x[:, 0:h:POOL, 1:w:POOL])
     return np.maximum(top, np.maximum(x[:, 1:h:POOL, 0:w:POOL], x[:, 1:h:POOL, 1:w:POOL]))
@@ -238,13 +241,20 @@ def _forward(net, x: np.ndarray):
         blocks.append((a, relu, pooled))
         a = _maxpool(relu) if pooled else relu
     flat = a.reshape(a.shape[0], -1)
-    h1 = np.maximum(flat @ dense_w + dense_b, 0.0)
-    logits = h1 @ policy_w + policy_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # in place, to save temporaries; the pinned outputs rest on this order of
+    # operations, so keep it
+    h1 = flat @ dense_w
+    h1 += dense_b
+    np.maximum(h1, 0.0, out=h1)
+    log_p = h1 @ policy_w
+    log_p += policy_b
+    log_p -= log_p.max(axis=1, keepdims=True)
     p = np.exp(log_p)
-    v = (h1 @ value_w + value_b)[:, 0]
-    return p, v, (blocks, a.shape, flat, h1, log_p)
+    log_p -= np.log(p.sum(axis=1, keepdims=True))
+    np.exp(log_p, out=p)
+    v = h1 @ value_w
+    v += value_b
+    return p, v[:, 0], (blocks, a.shape, flat, h1, log_p)
 
 
 def _forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
@@ -399,6 +409,19 @@ def _kernel_windows(height: int, width: int) -> np.ndarray:
     return windows
 
 
+@functools.lru_cache(maxsize=1)  # as _kernel_windows
+def _pooled_windows(height: int, width: int) -> np.ndarray:
+    """``_kernel_windows`` cut into ``_maxpool``'s four strided views of
+    the convolution's output, stacked in its order (0, 0), (0, 1), (1, 0),
+    (1, 1): shape (4, ph, pw, 4). Rows and columns beyond the last whole
+    pooling window are left out."""
+    windows = _kernel_windows(height, width)
+    h, w = windows.shape[0] // POOL * POOL, windows.shape[1] // POOL * POOL
+    views = np.stack([windows[di:h:POOL, dj:w:POOL] for di in range(POOL) for dj in range(POOL)])
+    views.flags.writeable = False
+    return views
+
+
 CHECKPOINT_HEADER = "HRCNET v1"
 _VALUES_PER_LINE = 6
 
@@ -532,8 +555,11 @@ class NetEvaluator:
     one-hot row times the kernel gives the kernel's row exactly, and each
     entry adds those rows and the bias in ``_conv2d``'s order, so it equals
     ``_conv2d``'s output bit for bit. An evaluation maps the layout to kind
-    codes, reads one row per output cell, pools, and runs ``_forward`` from
-    the second block on. A net with no conv block runs ``_forward`` on
+    codes and reads one row per output cell. When the block pools, it reads
+    only the cells ``_maxpool`` keeps, as its four strided views in one
+    gather (``_pooled_windows``), and takes their maximum as ``_maxpool``
+    does: the same operands in the same order. Then it runs ``_forward``
+    from the second block on. A net with no conv block runs ``_forward`` on
     ``encode_state``.
 
     Evaluations are cached per job and layout, the state's ``cells``: the
@@ -560,7 +586,8 @@ class NetEvaluator:
             table += bias
             table = table.reshape(-1, table.shape[-1])  # by window number
             self._table = np.maximum(table, 0.0, out=table)
-            self._windows = _kernel_windows(height, width)
+            windows = _pooled_windows if self._pooled else _kernel_windows
+            self._windows = windows(height, width)
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
         key = (state.job, tuple(state.cells))
@@ -571,9 +598,11 @@ class NetEvaluator:
             x = encode_state(state, self.height, self.width)[None]
         else:
             codes = _kind_grid(state, self.height, self.width).ravel()
-            x = self._table[codes[self._windows] @ _PLACE_VALUES][None]
+            x = self._table[codes[self._windows] @ _PLACE_VALUES]
             if self._pooled:
-                x = _maxpool(x)
+                # _maxpool's maxima of its four views, read straight off the table
+                x = np.maximum(np.maximum(x[0], x[1]), np.maximum(x[2], x[3]))
+            x = x[None]
         p, v, _ = _forward(self._net, x)
         result = self._cache[key] = (p[0], float(min(v[0], 0.0)))
         return result

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (
-    AgentAction,
-    GameState,
-    is_stalled,
-    is_terminal,
-    legal_actions,
-    next_agent,
-    transition,
-)
+from .game import AgentAction, GameState, legal_actions, next_agent, transition
 
 NOOP_PRIOR = 0.001  # NoOp's prior before the edge priors are renormalised
 
@@ -35,7 +27,7 @@ class SearchConfig:
     simulations: int = 30
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     action: AgentAction
     prior: float
@@ -49,7 +41,7 @@ class Edge:
         return self.total_value / self.visits if self.visits else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     state: GameState
     depth: int  # epochs advanced since the episode root; limits apply relative to the current root
@@ -59,8 +51,11 @@ class SearchNode:
     stalled: bool = field(init=False)
 
     def __post_init__(self):
-        self.terminal = is_terminal(self.state)
-        self.stalled = not self.terminal and is_stalled(self.state)
+        # is_terminal and is_stalled, read off the fields: a node is made per
+        # edge the search follows
+        state = self.state
+        self.terminal = state.completed_mask == state.job.full
+        self.stalled = not self.terminal and state.pending < 0 and max(state.doing) < 0
 
     @property
     def visits(self) -> int:
@@ -74,16 +69,24 @@ def select_edge(node: SearchNode, c_puct: float) -> Edge:
     An exact score tie goes to the higher prior, then to the earlier edge.
     The edges follow ``legal_actions``: picks by increasing column, NoOp
     last, so the earlier edge is the lower column and NoOp loses every tie.
+
+    A node's only edge is returned without scoring it, and an unvisited
+    edge's score, Q = 0 and a divisor of 1, is its exploration term alone:
+    the picks are the same as the formula's.
     """
     edges = node.edges
+    if len(edges) == 1:
+        return edges[0]
     # node.visits summed inline: this runs once per step of every simulation
     sqrt_total = math.sqrt(sum([e.visits for e in edges]))
     best = None
     best_score = 0.0
     for edge in edges:
         visits = edge.visits
-        q = edge.total_value / visits if visits else 0.0
-        score = q + c_puct * edge.prior * sqrt_total / (1 + visits)
+        if visits:
+            score = edge.total_value / visits + c_puct * edge.prior * sqrt_total / (1 + visits)
+        else:
+            score = c_puct * edge.prior * sqrt_total
         if best is None or score > best_score or score == best_score and edge.prior > best.prior:
             best, best_score = edge, score
     return best
@@ -92,9 +95,12 @@ def select_edge(node: SearchNode, c_puct: float) -> Edge:
 def masked_priors(p: np.ndarray, columns: list[int]) -> np.ndarray:
     """Network column probabilities restricted to the legal set, renormalised.
 
-    Ratios among the kept entries are preserved.
+    Ratios among the kept entries are preserved. ``p`` is the evaluator's
+    float64 array, indexed as it is; any other sequence is converted.
     """
-    masked = np.asarray(p, dtype=float)[columns]
+    if not isinstance(p, np.ndarray):
+        p = np.asarray(p, dtype=float)
+    masked = p[columns]
     total = masked.sum()
     if total <= 0:
         return np.full(len(columns), 1.0 / len(columns))
@@ -216,7 +222,8 @@ class SearchTree:
         while node.edges:
             edge = select_edge(node, c_puct)
             path.append(edge)
-            node = _child(node, edge)
+            child = edge.child
+            node = child if child is not None else _child(node, edge)
             if has_cap and self._depth_capped(node):
                 capped = True
                 break

@@ -471,6 +471,18 @@ def test_random_rollouts_frozen_sample():
     assert histogram_csv(stats) == "makespan,count\n7,161\n9,139\n"
 
 
+def test_a_draw_from_a_range_of_one_leaves_the_stream_unchanged():
+    """``random_rollouts`` takes an only pick without calling
+    ``rng.integers(1)``. That keeps its samples only while numpy's bounded
+    draw from a range of one takes nothing from the stream."""
+    drawn, skipped = np.random.default_rng(17), np.random.default_rng(17)
+    for i in range(1000):
+        assert drawn.integers(1) == 0
+        bound = 2 + i % 7
+        assert drawn.integers(bound) == skipped.integers(bound)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+
+
 def test_random_rollouts_deterministic():
     spec = random_instance(4)
     a = random_rollouts(spec, trajectories=50, seed=9)

@@ -140,6 +140,52 @@ def test_select_edge_matches_reference_on_exact_ties():
     assert tied > 1000 and noop_tied > 300 and column_tied > 300
 
 
+def formula_select_edge(edges: list[Edge], c_puct: float) -> Edge:
+    """``select_edge`` written out: every edge scored by Q + c * P *
+    sqrt(sum visits) / (1 + visits), with Q = 0 for an unvisited edge, and
+    the first edge of the highest (score, prior)."""
+    sqrt_total = math.sqrt(sum(e.visits for e in edges))
+    keys = []
+    for e in edges:
+        q = e.total_value / e.visits if e.visits else 0.0
+        keys.append((q + c_puct * e.prior * sqrt_total / (1 + e.visits), e.prior))
+    return edges[keys.index(max(keys))]
+
+
+def test_select_edge_matches_the_written_out_formula():
+    """Seeded random nodes of one to six edges, half with values drawn from
+    a continuum and half from a few levels, so that exact score ties are
+    common; many nodes have a single edge, and many edges no visit."""
+    rng = np.random.default_rng(23)
+    state = initial_state(desk_fixture())
+    tasks = sorted(state.job.tasks)
+    seen = {"one edge": 0, "unvisited": 0, "tied": 0}
+    for _ in range(4000):
+        levels = rng.random() < 0.5
+        edges = []
+        for task in tasks[: int(rng.integers(1, 7))]:
+            if levels:
+                visits = int(rng.choice([0, 0, 1, 2]))
+                prior = float(rng.choice([0.25, 0.5]))
+                q = float(rng.choice([0.0, -1.0]))
+            else:
+                visits = int(rng.integers(0, 40))
+                prior = float(rng.random())
+                q = -100.0 * float(rng.random())
+            edges.append(Edge(action=pick(task), prior=prior, visits=visits, total_value=q * visits))
+        node = SearchNode(state=state, depth=0)
+        node.edges = edges
+        c_puct = float(rng.choice([0.0, 1.0, 2.5, 100.0]))
+        assert select_edge(node, c_puct) is formula_select_edge(edges, c_puct)
+
+        sqrt_total = math.sqrt(sum(e.visits for e in edges))
+        scores = [e.mean_value + c_puct * e.prior * sqrt_total / (1 + e.visits) for e in edges]
+        seen["one edge"] += len(edges) == 1
+        seen["unvisited"] += sum(e.visits == 0 for e in edges)
+        seen["tied"] += scores.count(max(scores)) > 1
+    assert seen["one edge"] > 500 and seen["unvisited"] > 3000 and seen["tied"] > 800
+
+
 def walk(node: SearchNode):
     yield node
     for edge in node.edges or ():
