@@ -152,10 +152,9 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """A board over a copy of ``cells``, so changing it leaves the state unchanged;
-        settled when the job's layout is, or once a pick has settled it."""
-        settled = self.job.settled or self.completed_mask != 0 or max(self.doing) >= 0
-        return Board(self.job, self.cells[:], settled)
+        """A board over a copy of ``cells``, so changing it leaves the state unchanged,
+        settled as the job's layout is (an unsettled first cascade is exact on any layout)."""
+        return Board(self.job, self.cells[:], self.job.settled)
 
 
 # The context built by the latest initial_state call. Every caller plays one
@@ -261,7 +260,7 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         if t is None or cells[job.col[t]] != t or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
         cells, doing, finish = cells[:], state.doing[:], state.finish[:]
-        settled = job.settled or done != 0 or max(doing) >= 0  # as in GameState.board
+        settled = job.settled or done != 0 or max(doing) >= 0  # a pick settles the layout
         cascade(cells, job.col, job.span, job.width, t, settled)
         doing[p] = t
         finish[p] = state.clock + job.duration[t]

@@ -6,6 +6,10 @@ reward and increases depth by one, so a depth limit counts completions
 looked ahead, not individual picks. Backed-up values are undiscounted sums
 of the rewards met along the path plus the leaf evaluation, in raw
 (negative) time units.
+
+A simulation is three calls: ``SearchTree._select`` walks to a leaf,
+``_evaluate_leaf`` values it, expanding it unless it is terminal, stalled or
+at the depth cap, and ``backup`` credits the value to the edges walked.
 """
 
 from __future__ import annotations
@@ -162,12 +166,6 @@ def _child(node: SearchNode, edge: Edge) -> SearchNode:
     return edge.child
 
 
-def _stall_value(state: GameState) -> float:
-    # Strictly worse than any real completion, which costs at most the
-    # serial sum of all durations.
-    return -2.0 * state.job.spec.total_duration()
-
-
 class SearchTree:
     """A persistent tree reused across the decisions of one episode."""
 
@@ -175,6 +173,9 @@ class SearchTree:
         self.config = config or SearchConfig()
         self.evaluator = evaluator
         self.root = SearchNode(state=state, depth=0)
+        # a stalled leaf's value: strictly worse than any real completion,
+        # which costs at most the serial sum of the job's durations
+        self._stall_value = -2.0 * state.job.spec.total_duration()
 
     def run(self) -> tuple[list[tuple[AgentAction, float]], AgentAction]:
         """Run the configured simulations from the root.
@@ -185,38 +186,39 @@ class SearchTree:
         lower column, with NoOp last. A root with a single legal action is
         answered immediately.
         """
-        cfg = self.config
-        if self.root.edges is None:
-            expand_and_evaluate(self.root, self.evaluator)
-        if self.root.terminal:
+        root = self._expanded_root()
+        if root.terminal:
             raise ValueError("cannot search from a terminal state")
-        if len(self.root.edges) == 1:
-            return [(self.root.edges[0].action, 1.0)], self.root.edges[0].action
+        edges = root.edges
+        if len(edges) == 1:
+            return [(edges[0].action, 1.0)], edges[0].action
 
-        for _ in range(cfg.simulations):
-            self._simulate()
+        for _ in range(self.config.simulations):
+            leaf, path, capped = self._select()
+            backup(path, self._evaluate_leaf(leaf, capped))
 
-        total = self.root.visits
+        total = root.visits
         if total == 0:
-            policy = [(e.action, e.prior) for e in self.root.edges]
+            policy = [(e.action, e.prior) for e in edges]
         else:
-            policy = [(e.action, e.visits / total) for e in self.root.edges]
+            policy = [(e.action, e.visits / total) for e in edges]
         # max keeps the first of equal keys
-        chosen = max(self.root.edges, key=lambda e: (e.visits, e.prior)).action
+        chosen = max(edges, key=lambda e: (e.visits, e.prior)).action
         return policy, chosen
 
-    def _depth_capped(self, node: SearchNode) -> bool:
-        if self.config.max_depth is None:
-            return False
-        return node.depth - self.root.depth >= self.config.max_depth
+    def _expanded_root(self) -> SearchNode:
+        if self.root.edges is None:
+            expand_and_evaluate(self.root, self.evaluator)
+        return self.root
 
-    def _simulate(self) -> None:
+    def _select(self) -> tuple[SearchNode, list[Edge], bool]:
+        """Walk by ``select_edge`` to a leaf: (leaf, edges walked root first,
+        whether the walk stopped at the depth cap below the current root)."""
         c_puct = self.config.c_puct
-        has_cap = self.config.max_depth is not None
+        max_depth = self.config.max_depth
+        cap = None if max_depth is None else self.root.depth + max_depth
         node = self.root
         path: list[Edge] = []
-        capped = False
-
         # a terminal or stalled node below the root is never expanded, so the
         # walk stops at it
         while node.edges:
@@ -224,17 +226,15 @@ class SearchTree:
             path.append(edge)
             child = edge.child
             node = child if child is not None else _child(node, edge)
-            if has_cap and self._depth_capped(node):
-                capped = True
-                break
-
-        backup(path, self._evaluate_leaf(node, capped))
+            if cap is not None and node.depth >= cap:
+                return node, path, True
+        return node, path, False
 
     def _evaluate_leaf(self, node: SearchNode, capped: bool) -> float:
         if node.terminal:
             return 0.0
         if node.stalled:
-            return _stall_value(node.state)
+            return self._stall_value
         if capped:
             # depth-capped leaf: evaluated by the network, never expanded
             return float(self.evaluator(node.state)[1])
@@ -242,11 +242,9 @@ class SearchTree:
 
     def advance_root(self, action: AgentAction) -> None:
         """Keep the subtree behind the action taken; drop everything else."""
-        if self.root.edges is None:
-            expand_and_evaluate(self.root, self.evaluator)
-        for edge in self.root.edges:
+        root = self._expanded_root()
+        for edge in root.edges:
             if edge.action == action:
-                self.root = _child(self.root, edge)
+                self.root = _child(root, edge)
                 return
         raise ValueError(f"{action} is not an edge of the root")
-

@@ -213,6 +213,8 @@ def training_loop(
     is given. ``progress`` is called with each IterationReport as it lands.
     """
     cfg = config or TrainingConfig()
+    if cfg.episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {cfg.episodes}")
     params = init_params(
         spec.height,
         spec.width,

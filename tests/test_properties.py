@@ -235,6 +235,8 @@ def test_turns_and_picks_match_explicit_epoch_masks(job, seed):
         legal = {i: reference_legal(state, roster[i], taken) for i in idle}
         for i in idle:
             assert legal_actions(state, roster[i]) == legal[i]
+        if len(idle) == len(roster):  # nobody busy: some idle agent can pick
+            assert any(legal[i] != [NOOP] for i in idle)
         if p < 0:
             assert is_stalled(state)
             break

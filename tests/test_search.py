@@ -7,11 +7,13 @@ import pytest
 
 from hrcsched import (
     NOOP,
+    NetEvaluator,
     SearchConfig,
     SearchNode,
     SearchTree,
     UniformEvaluator,
     desk_fixture,
+    init_params,
     initial_state,
     is_stalled,
     is_terminal,
@@ -339,14 +341,53 @@ def test_run_on_terminal_state_raises():
         tree.run()
 
 
+def capped_walk(tree):
+    """Simulate until a walk stops at the depth cap on a live leaf; return its path.
+
+    Every walk stops at the first node ``max_depth`` epochs below the
+    current root, and only there is it reported capped.
+    """
+    tree._expanded_root()
+    cap = tree.root.depth + tree.config.max_depth
+    for _ in range(50):
+        leaf, path, capped = tree._select()
+        assert all(e.child.depth < cap for e in path[:-1])
+        assert capped == (leaf.depth == cap)
+        backup(path, tree._evaluate_leaf(leaf, capped))
+        if capped and not leaf.terminal:
+            return path
+    raise AssertionError("no walk reached the depth cap")
+
+
 def test_depth_cap_is_relative_to_current_root():
-    tree = SearchTree(tiny_state(), UniformEvaluator(2), SearchConfig(max_depth=2))
-    base = tree.root.depth
-    assert not tree._depth_capped(SearchNode(state=tiny_state(), depth=base + 1))
-    assert tree._depth_capped(SearchNode(state=tiny_state(), depth=base + 2))
-    tree.root = SearchNode(state=tiny_state(), depth=base + 5)
-    assert not tree._depth_capped(SearchNode(state=tiny_state(), depth=base + 6))
-    assert tree._depth_capped(SearchNode(state=tiny_state(), depth=base + 7))
+    spec = desk_fixture()
+    tree = SearchTree(initial_state(spec), UniformEvaluator(spec.width), SearchConfig(max_depth=2))
+    for edge in capped_walk(tree):
+        tree.advance_root(edge.action)
+    assert tree.root.depth == 2
+    capped_walk(tree)  # capped two epochs below the new root, four below the first
+
+
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+def test_stages_by_hand_match_run(max_depth):
+    # select, evaluate and back up, driven one at a time, are a simulation
+    spec = desk_fixture()
+    cfg = SearchConfig(simulations=40, max_depth=max_depth)
+
+    def desk_tree():
+        params = init_params(spec.height, spec.width, filters=(4,), dense_units=8, seed=3)
+        return SearchTree(initial_state(spec), NetEvaluator(params, spec.height, spec.width), cfg)
+
+    by_hand, twin = desk_tree(), desk_tree()
+    by_hand._expanded_root()
+    for _ in range(cfg.simulations):
+        leaf, path, capped = by_hand._select()
+        backup(path, by_hand._evaluate_leaf(leaf, capped))
+    twin.run()
+    assert len(by_hand.root.edges) > 1
+    assert [(e.action, e.visits, e.total_value) for e in by_hand.root.edges] == [
+        (e.action, e.visits, e.total_value) for e in twin.root.edges
+    ]
 
 
 def test_exact_q_values_one_epoch_lookahead():

@@ -1,5 +1,7 @@
 """Self-play episode generation, replay training, and the full loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,18 @@ def test_training_loop_zero_iterations(tmp_path):
     for k in params:
         assert np.array_equal(params[k], fresh[k])
     assert (tmp_path / "checkpoint_final.txt").exists()
+
+
+@pytest.mark.parametrize("episodes", [0, -2])
+def test_training_loop_needs_an_episode(tmp_path, episodes):
+    # refused before any work: no numpy warning from a mean over no
+    # episodes, and no checkpoint written
+    cfg = TrainingConfig(iterations=1, episodes=episodes, filters=(4,), dense_units=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="episodes"):
+            training_loop(parse_jobspec(TINY_TEXT), cfg, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_training_loop_is_deterministic():
