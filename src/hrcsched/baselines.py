@@ -19,9 +19,10 @@ them by clock, then by the ranks of their moves in each node's move list,
 whose order is depth-first order; the per-depth counts are sums of those
 numbers, and the best leaf is the one the deepening meets first. The
 probe gives up when a live state lies ``PROBE_DEPTH`` deep, when its
-count exceeds ``node_budget // PROBE_DEPTH`` visits, or when a level holds
-more than ``PROBE_WIDTH`` states; the deepening then runs from scratch.
-Either pass gives the same result, so giving up costs only time.
+count exceeds ``node_budget // PROBE_DEPTH`` visits, or as soon as the
+level it is building would hold more than ``PROBE_WIDTH`` states, so a wide
+level is never built whole; the deepening then runs from scratch. Either
+pass gives the same result, so giving up costs only time.
 
 The deepening is one recursive closure over the game's flat state (see
 ``game.py``): agents and tasks are bitmasks, and busy agents' tasks and
@@ -33,7 +34,11 @@ earliest finish. Both keep the first of the fastest leaves by one rule.
 The layout is one ``cells`` sequence per node, as in the game; a pick's
 child gets its own copy, on which ``board.cascade``, the gravity routine
 the game itself uses, removes the stone, so the layout alone records what
-was taken this epoch. On a pass's last level each child is still one visit
+was taken this epoch. The probe runs each pick's gravity once: it keeps
+the layout after a pick by layout, task and settled flag, of which
+``cascade`` is a pure function, so states that reach one layout share
+one tuple. That memo starts over when it holds ``PROBE_WIDTH`` entries.
+On a pass's last level each child is still one visit
 checked against the budget, and is counted as finished, stalled or on the
 frontier, but not expanded. A layout with floating stones settles on a
 route's first pick, as it does in play. The oracle keeps ``moves`` of its
@@ -64,11 +69,13 @@ TRAJECTORIES = 1000
 MAX_DEPTH = 500
 # under MAX_DEPTH; benchmark corpus trees are at most 13 deep
 PROBE_DEPTH = 64
-# The most states the probe holds at one depth, which bounds its memory.
-# The widest level of 2,000 corpus jobs at each of seeds 101, 202 and 303
-# holds 103 states. The desk job's fourth level holds 306, so its probe gives
-# up there in 3 ms; with no bound it went on to 22,498 states at depth 8 and
-# peaked at 75 MB, against 30 MB for the deepening alone.
+# The most states the probe holds at one depth, and the most layouts it keeps
+# after picks, which bounds its memory. Of 2,000 corpus jobs at each of seeds
+# 101, 202 and 303, the widest level holds 103 states and the most distinct
+# picks of a job are 54. The desk job's fourth level would hold 306, so its
+# probe gives up at that level's 257th state, 3 ms in; with no bound it went
+# on to 22,498 states at depth 8 and peaked at 75 MB, against 30 MB for the
+# deepening alone.
 PROBE_WIDTH = 256
 
 COMPLETE = "complete"
@@ -195,6 +202,7 @@ def exhaustive_search(
         best = None  # (clock, depth, path) of the first of the fastest leaves
         depth = 0
         cap = node_budget // PROBE_DEPTH  # under it even the deepening fits the budget
+        after_pick = {}  # (grid, task, settled flag) -> the layout cascade leaves
         while level:
             if depth == PROBE_DEPTH or len(level) > PROBE_WIDTH:
                 return None
@@ -205,39 +213,51 @@ def exhaustive_search(
                 grid, idle, _, completed, clock, doing, finish = state
                 agent, children = moves(*state)
                 count += prefixes * len(children)
+                # The first pick of a route on a floating layout settles it.
+                firm = settled or idle != everyone or completed != 0
                 for rank, (t, child) in enumerate(children):
                     if child is None:
                         continue
-                    step = (path, rank, agent, t)
-                    now = child[3]
-                    if child[2] == full:
+                    idle_after, declined, done, now = child
+                    if done == full:
                         ended += prefixes
+                        step = (path, rank, agent, t)
                         if best is None or (now, depth, step) < best:
                             best = (now, depth, step)
                         continue
                     live += prefixes
                     if t < 0:
-                        after = (grid, *child, doing, finish)
+                        cells, tasks, ends = grid, doing, finish
                     else:
-                        # The first pick of a route on a floating layout settles it.
-                        cells = list(grid)
-                        cascade(cells, col, span, w, t, settled or idle != everyone or completed)
-                        after = (
-                            tuple(cells), *child,
-                            doing[:agent] + (1 << t,) + doing[agent + 1:],
-                            finish[:agent] + (clock + dur[t],) + finish[agent + 1:],
-                        )
+                        cells = after_pick.get((grid, t, firm))
+                        if cells is None:
+                            if len(after_pick) >= PROBE_WIDTH:
+                                after_pick.clear()
+                            cells = list(grid)
+                            cascade(cells, col, span, w, t, firm)
+                            cells = after_pick[grid, t, firm] = tuple(cells)
+                        tasks = doing[:agent] + (1 << t,) + doing[agent + 1:]
+                        ends = finish[:agent] + (clock + dur[t],) + finish[agent + 1:]
                     # busy agents' tasks and time left; idle agents' entries are stale
-                    key = after[:4] + tuple(
-                        (after[5][b], after[6][b] - now) for b in agents if not child[0] >> b & 1
-                    )
+                    key = (cells, idle_after, declined, done, *[
+                        (tasks[b], ends[b] - now) for b in agents if not idle_after >> b & 1
+                    ])
                     entry = below.get(key)
                     if entry is None:
-                        below[key] = [prefixes, step, after]
-                    else:
-                        entry[0] += prefixes
-                        if (now, step) < (entry[2][4], entry[1]):
-                            entry[1:] = step, after
+                        if len(below) == PROBE_WIDTH:  # a level too wide: give up now
+                            return None
+                        below[key] = [
+                            prefixes, (path, rank, agent, t),
+                            (cells, idle_after, declined, done, now, tasks, ends),
+                        ]
+                        continue
+                    entry[0] += prefixes
+                    kept = entry[2][4]
+                    if now < kept or now == kept and (path, rank, agent, t) < entry[1]:
+                        entry[1:] = (
+                            (path, rank, agent, t),
+                            (cells, idle_after, declined, done, now, tasks, ends),
+                        )
             nodes.append(count)
             routes.append(live + ended)
             leaves.append(ended)

@@ -380,7 +380,7 @@ def _kind_grid(state: GameState, height: int, width: int) -> np.ndarray:
             f"board {job.height}x{job.width} exceeds the configured "
             f"input {height}x{width}"
         )
-    codes = _kind_codes(job)[state.cells].reshape(job.height, job.width)
+    codes = _kind_codes(job).take(state.cells).reshape(job.height, job.width)
     if codes.shape == (height, width):
         return codes
     grid = np.full((height, width), _EMPTY)

@@ -8,6 +8,7 @@ reproduce every field of the oracle's result.
 
 import gc
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -298,6 +299,19 @@ def test_oracle_keeps_the_first_of_equally_fast_routes(text, strict):
     assert exhaustive_search(spec, strict=strict) == reference_search(spec, strict=strict)
 
 
+def test_oracle_merges_a_states_prefixes_by_clock_before_path():
+    # Corpus job 1045 at seed 303: of two prefixes that reach one state, the
+    # one first in depth-first order, and last in the probe's scan, gets
+    # there at a later clock. Keeping it for its path would report 26.
+    spec = parse_jobspec(
+        "board 3 4\nagents 1 1\ntask t0 E 7 1 0 1\ntask t1 R 3 0 0 1\ntask t2 H 9 0 1 1\n"
+        "task t3 H 4 1 1 1\ntask t4 H 6 1 2 2\ntask t5 E 3 1 3 1\n"
+    )
+    res = exhaustive_search(spec)
+    assert res.optimal_makespan == 25 == reference_optimum(spec)
+    assert res == reference_search(spec)
+
+
 # X floats over an empty cell until the first pick settles the board.
 FLOATING_TEXT = """\
 board 2 3
@@ -384,6 +398,80 @@ def test_oracle_stops_at_the_depth_cap_as_at_the_budget(monkeypatch):
     assert res.status == BUDGET_EXCEEDED and res.stopped_at_depth == 6
     assert [r.depth for r in res.depth_rows] == list(range(6))
     assert res == reference_search(spec, node_budget=res.nodes_expanded)
+
+
+def counting_cascades(monkeypatch):
+    """Patch ``baselines.cascade`` to record each call's (layout, task)."""
+    calls = []
+    cascade = baselines.cascade
+
+    def counted(cells, col, span, width, t, settled):
+        calls.append((tuple(cells), t))
+        return cascade(cells, col, span, width, t, settled)
+
+    monkeypatch.setattr(baselines, "cascade", counted)
+    return calls
+
+
+def test_probe_runs_each_picks_gravity_once(monkeypatch):
+    # A complete result with MAX_DEPTH at 0 is the probe's, so every cascade
+    # counted is the probe's; states that share a layout share its picks.
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 0)
+    calls = counting_cascades(monkeypatch)
+    specs = [parse_jobspec(TINY_TEXT)] + [random_instance(seed) for seed in range(60)]
+    answered = 0
+    for spec in specs:
+        for strict in (True, False):
+            calls.clear()
+            if exhaustive_search(spec, strict=strict).status == COMPLETE:
+                assert len(calls) == len(set(calls)), (spec, strict)
+                answered += 1
+    assert answered >= 100
+
+
+def test_probe_memo_starts_over_at_its_bound(monkeypatch):
+    # PROBE_WIDTH bounds the memo of cascades as well as each level. One
+    # column of 30 stones under one human holds one state per level but 29
+    # distinct picks; on small random jobs, picks recur after the memo has
+    # started over. The probe answers each, as the deepening does.
+    monkeypatch.setattr(baselines, "PROBE_WIDTH", 8)
+    calls = counting_cascades(monkeypatch)
+    jobs = [(column_job(30), True)] + [
+        (random_instance(seed), strict) for seed in range(60) for strict in (True, False)
+    ]
+    past = 0
+    for spec, strict in jobs:
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "MAX_DEPTH", 0)
+            calls.clear()
+            probed = exhaustive_search(spec, strict=strict)
+        if probed.status != COMPLETE:
+            continue
+        past += len(set(calls)) > 8
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "PROBE_WIDTH", 0)
+            assert probed == exhaustive_search(spec, strict=strict), (spec, strict)
+    assert past >= 10
+
+
+def test_probe_gives_up_on_a_wide_level_before_building_it(monkeypatch):
+    # 100 columns of 20 one-wide stones: the second level would hold about
+    # 10,000 states of 2,000 cells each, 150 MB, had the probe built it
+    # whole before giving up; it stops at the state past PROBE_WIDTH instead.
+    tasks = tuple(
+        Task(f"s{c}_{r}", "E", 1 + (c + r) % 4, c, r, 1) for c in range(100) for r in range(20)
+    )
+    spec = JobSpec(100, 20, 1, 1, tasks)
+    tracemalloc.start()
+    try:
+        res = exhaustive_search(spec, node_budget=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
+    assert res.status == BUDGET_EXCEEDED and res.nodes_expanded == 20_000
+    monkeypatch.setattr(baselines, "PROBE_WIDTH", 0)
+    assert res == exhaustive_search(spec, node_budget=20_000)
 
 
 def stack_depth():
