@@ -18,10 +18,11 @@ from hrcsched import (
     NetEvaluator,
     SearchConfig,
     exhaustive_search,
-    generate_episode,
     init_params,
     oracle_report_csv,
     parse_jobspec,
+    play,
+    search_chooser,
 )
 
 TEXT = """
@@ -47,5 +48,5 @@ for label, config in [
     ("eager  (c_puct=100, 500 sims)", SearchConfig(simulations=500, max_depth=None)),
     ("patient (c_puct=10, 1000 sims)", SearchConfig(c_puct=10.0, simulations=1000, max_depth=None)),
 ]:
-    record, _ = generate_episode(spec, evaluator, config, seed=0, temperature_moves=0)
+    record = play(spec, search_chooser(evaluator, config), seed=0)
     print(f"{label}: makespan {record.makespan}")

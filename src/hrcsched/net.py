@@ -525,6 +525,9 @@ def _validate_structure(params: dict[str, np.ndarray]) -> None:
         if in_ch is not None and w.shape[3] != in_ch:
             raise CheckpointError(f"conv{i} input channels break the chain", kind="shape")
         in_ch = w.shape[0]
+    for name in ("dense_w", "policy_w", "value_w"):
+        if params[name].ndim != 2:
+            raise CheckpointError(f"{name} has shape {params[name].shape}", kind="shape")
     dense_w, dense_b = params["dense_w"], params["dense_b"]
     units = dense_w.shape[1]
     if dense_b.shape != (units,):

@@ -1,10 +1,11 @@
 """Self-play policy iteration.
 
 Each iteration plays a batch of search-guided episodes, files every
-decision into a replay buffer as (input, visit-count policy, return-to-go),
-trains the network on the buffer, and evaluates one greedy episode. The
-whole loop is deterministic given the master seed: episode e of iteration k
-is seeded with master * 1000003 + k * 1009 + e.
+decision into a replay buffer of the newest ``CAPACITY`` examples as
+(input, visit-count policy, return-to-go), trains the network on the buffer
+for ``EPOCHS`` epochs at ``LEARNING_RATE``, and evaluates one greedy
+episode. The whole loop is deterministic given the master seed: episode e
+of iteration k is seeded with master * 1000003 + k * 1009 + e.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .game import DeadlockError, EpisodeRecord, noop_stalls, play
 from .jobspec import JobSpec
 from .net import (
-    DENSE_UNITS,
-    FILTERS,
     NetEvaluator,
     TrainingExample,
     encode_state,
@@ -32,6 +31,9 @@ from .search import SearchConfig, SearchTree
 
 SEED_ITERATION_STRIDE = 1_009
 SEED_MASTER_STRIDE = 1_000_003
+EPOCHS = 5
+LEARNING_RATE = 0.01
+CAPACITY = 5000  # replay buffer size; the oldest examples fall out first
 BATCH_SIZE = 32
 MOMENTUM = 0.9
 MAX_GRAD_NORM = 10.0
@@ -111,14 +113,9 @@ class TrainingConfig:
     iterations: int = 10
     episodes: int = 10
     search: SearchConfig = field(default_factory=SearchConfig)
-    epochs: int = 5
-    learning_rate: float = 0.01
-    capacity: int = 5000
     temperature_moves: int = 4
     seed: int = 0
     strict: bool = True
-    filters: tuple[int, ...] = FILTERS
-    dense_units: int = DENSE_UNITS
 
 
 def generate_episode(
@@ -169,23 +166,23 @@ def clip_gradients(grads, max_norm: float):
     return {k: g * scale for k, g in grads.items()}
 
 
-def train_iteration(examples, params, config: TrainingConfig, seed: int = 0):
-    """Minibatch SGD over the ``examples`` sequence for ``config``'s epochs
-    and learning rate. Returns (params, ce, mse), each averaged over every step."""
-    if not examples or config.epochs == 0:
+def train_iteration(examples, params, seed: int = 0):
+    """Minibatch SGD over the ``examples`` sequence, ``EPOCHS`` epochs at
+    ``LEARNING_RATE``. Returns (params, ce, mse), each averaged over every step."""
+    if not examples:
         return params, 0.0, 0.0
 
     rng = np.random.default_rng(seed)
     velocity = None
     ce_values: list[float] = []
     mse_values: list[float] = []
-    for _ in range(config.epochs):
+    for _ in range(EPOCHS):
         order = rng.permutation(len(examples))
         for lo in range(0, len(examples), BATCH_SIZE):
             batch = [examples[i] for i in order[lo : lo + BATCH_SIZE]]
             _, ce, mse, grads = loss_and_gradients(params, batch)
             grads = clip_gradients(grads, MAX_GRAD_NORM)
-            params, velocity = sgd_step(params, grads, config.learning_rate, MOMENTUM, velocity)
+            params, velocity = sgd_step(params, grads, LEARNING_RATE, MOMENTUM, velocity)
             ce_values.append(ce)
             mse_values.append(mse)
     return params, float(np.mean(ce_values)), float(np.mean(mse_values))
@@ -215,14 +212,8 @@ def training_loop(
     cfg = config or TrainingConfig()
     if cfg.episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {cfg.episodes}")
-    params = init_params(
-        spec.height,
-        spec.width,
-        filters=cfg.filters,
-        dense_units=cfg.dense_units,
-        seed=cfg.seed,
-    )
-    buffer: deque[TrainingExample] = deque(maxlen=cfg.capacity)  # oldest fall out first
+    params = init_params(spec.height, spec.width, seed=cfg.seed)
+    buffer: deque[TrainingExample] = deque(maxlen=CAPACITY)
     reports: list[IterationReport] = []
     best: int | None = None
 
@@ -242,7 +233,7 @@ def training_loop(
             makespans.append(record.makespan)
 
         params, ce, mse = train_iteration(
-            list(buffer), params, cfg, seed=episode_seed(cfg.seed, k, cfg.episodes + 1)
+            list(buffer), params, seed=episode_seed(cfg.seed, k, cfg.episodes + 1)
         )
 
         greedy = play(

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, files, exit codes, interactivity."""
 
+import dataclasses
 import hashlib
 import io
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from hrcsched import baselines, cli, desk_fixture, init_params, save_checkpoint, serialize_jobspec
 from hrcsched.cli import main
+from hrcsched.selfplay import IterationReport
 
 from conftest import TINY_TEXT
 
@@ -316,6 +318,20 @@ def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_checkpoint_with_a_weight_of_the_wrong_rank_exits_4(tiny_path, tmp_path, capsys):
+    ckpt = tmp_path / "cube.txt"
+    params = init_params(2, 2)
+    params["dense_w"] = params["dense_w"][..., None]  # a matrix with a third axis
+    save_checkpoint(params, ckpt)
+    code = run_cli(
+        ["solve", "--jobspec", tiny_path, "--out", str(tmp_path / "o"),
+         "--checkpoint", str(ckpt)]
+    )
+    assert code == 4
+    assert "bad checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_mismatched_checkpoint_exits_4(tmp_path, capsys):
     spec_path = tmp_path / "wide.job"
     spec_path.write_text(
@@ -434,6 +450,30 @@ def test_train_rejects_checkpoint_and_bad_counts(tiny_path, tmp_path, capsys):
          "--node-budget", "0"]
     ) == 2
     capsys.readouterr()
+
+
+def test_train_has_a_flag_for_every_config_field(tiny_path, tmp_path, monkeypatch, capsys):
+    """Every field of the config ``train`` builds moves off its default
+    when every flag does, so no field is left that only code can set."""
+    seen = []
+
+    def loop(spec, config, out_dir=None, progress=None):
+        seen.append(config)
+        return [IterationReport(0, config.episodes, 1.0, 1, 0.0, 0.0)], None
+
+    monkeypatch.setattr(cli, "training_loop", loop)
+    assert run_cli(
+        ["train", "--jobspec", tiny_path, "--out", str(tmp_path / "t"),
+         "--iterations", "2", "--episodes", "3", "--temperature-moves", "1",
+         "--seed", "7", "--literal-gravity",
+         "--simulations", "9", "--max-depth", "0", "--c-puct", "2.5"]
+    ) == 0
+    capsys.readouterr()
+    (config,) = seen
+    for obj in (config, config.search):
+        for f in dataclasses.fields(obj):
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            assert getattr(obj, f.name) != default, f.name
 
 
 def test_train_writes_log_and_checkpoints(tiny_path, tmp_path, capsys):

@@ -7,7 +7,6 @@ from hrcsched import (
     CheckpointError,
     NOOP,
     NetEvaluator,
-    TrainingConfig,
     TrainingExample,
     UniformEvaluator,
     desk_fixture,
@@ -433,6 +432,18 @@ def test_checkpoint_shape_errors():
 
 
 @pytest.mark.parametrize(
+    "name, rank",
+    [("dense_w", 1), ("value_w", 1), ("dense_w", 3), ("policy_w", 3), ("value_w", 3)],
+)
+def test_checkpoint_weights_of_the_wrong_rank_are_shape_errors(name, rank):
+    params = small_params()
+    params[name] = params[name].reshape(-1) if rank == 1 else params[name][..., None]
+    with pytest.raises(CheckpointError, match=name) as err:
+        loads_checkpoint(dumps_checkpoint(params))
+    assert err.value.kind == "shape"
+
+
+@pytest.mark.parametrize(
     "mangle",
     [
         lambda t: t[: t.rindex("end")],  # no end marker
@@ -566,7 +577,7 @@ def trained_on_desk(params, size):
             )
             for d in record.decisions
         ]
-    return train_iteration(examples, params, TrainingConfig(epochs=1))[0]
+    return train_iteration(examples, params)[0]
 
 
 @pytest.mark.parametrize("weights_seed", [0, 1])

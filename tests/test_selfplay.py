@@ -48,7 +48,8 @@ def test_episode_seed_formula():
 
 
 def test_training_loop_trains_on_newest_examples(monkeypatch):
-    # the loop keeps at most `capacity` examples, and the oldest fall out first
+    # the loop keeps at most `CAPACITY` examples, and the oldest fall out first
+    capacity = 4
     made, handed = [], []
     real_generate = selfplay.generate_episode
 
@@ -57,22 +58,20 @@ def test_training_loop_trains_on_newest_examples(monkeypatch):
         made.extend(examples)
         return record, examples
 
-    def train(examples, params, config, seed=0):
+    def train(examples, params, seed=0):
         handed.append((list(examples), list(made)))
         return params, 0.0, 0.0
 
     monkeypatch.setattr(selfplay, "generate_episode", generate)
     monkeypatch.setattr(selfplay, "train_iteration", train)
-    cfg = TrainingConfig(
-        iterations=2, episodes=3, search=SearchConfig(simulations=5), capacity=4,
-        filters=(4,), dense_units=8,
-    )
+    monkeypatch.setattr(selfplay, "CAPACITY", capacity)
+    cfg = TrainingConfig(iterations=2, episodes=3, search=SearchConfig(simulations=5))
     training_loop(parse_jobspec(TINY_TEXT), cfg)
     assert len(handed) == 2
     for examples, so_far in handed:
-        assert len(so_far) > cfg.capacity  # so some examples were evicted
-        newest = so_far[-cfg.capacity:]
-        assert len(examples) == len(newest) == cfg.capacity
+        assert len(so_far) > capacity  # so some examples were evicted
+        newest = so_far[-capacity:]
+        assert len(examples) == len(newest) == capacity
         assert all(a is b for a, b in zip(examples, newest))
 
 
@@ -156,7 +155,7 @@ def test_examples_from_a_padded_evaluator_train():
     for e, policy in zip(examples, narrow):
         assert e.x.shape == (4, 5, 3)
         assert e.policy.tolist() == policy.tolist() + [0.0, 0.0, 0.0]
-    trained, ce, mse = train_iteration(examples, params, TrainingConfig(epochs=1))
+    trained, ce, mse = train_iteration(examples, params)
     assert trained.keys() == params.keys() and ce > 0.0 and mse > 0.0
 
 
@@ -197,12 +196,9 @@ def test_gradient_norm_is_summed_left_to_right():
     assert clip_gradients(grads, 1.0)["a"][0] == 1.0
 
 
-def test_train_iteration_empty_or_zero_epochs_is_identity():
+def test_train_iteration_on_no_examples_is_identity():
     params = init_params(2, 2, filters=(4,), dense_units=8)
-    out, ce, mse = train_iteration([], params, TrainingConfig())
-    assert out is params and ce == 0.0 and mse == 0.0
-    example = TrainingExample(x=np.zeros((2, 2, 3)), policy=np.array([1.0, 0.0]), value=-3.0)
-    out, ce, mse = train_iteration([example], params, TrainingConfig(epochs=0))
+    out, ce, mse = train_iteration([], params)
     assert out is params and ce == 0.0 and mse == 0.0
 
 
@@ -216,9 +212,7 @@ def test_train_iteration_reduces_loss():
         examples.append(TrainingExample(x=x, policy=pi, value=-float(rng.integers(2, 10))))
     params = init_params(2, 2, filters=(4,), dense_units=8, seed=1)
     before = loss(params, examples)
-    trained, ce, mse = train_iteration(
-        examples, params, TrainingConfig(epochs=20, learning_rate=0.005), seed=3
-    )
+    trained, ce, mse = train_iteration(examples, params, seed=3)
     after = loss(trained, examples)
     assert after < before
     assert ce > 0.0 and mse > 0.0
@@ -230,8 +224,8 @@ def test_train_iteration_is_deterministic():
     )
     examples = [example] * 8
     params = init_params(2, 2, filters=(4,), dense_units=8)
-    a, _, _ = train_iteration(examples, params, TrainingConfig(), seed=5)
-    b, _, _ = train_iteration(examples, params, TrainingConfig(), seed=5)
+    a, _, _ = train_iteration(examples, params, seed=5)
+    b, _, _ = train_iteration(examples, params, seed=5)
     for k in a:
         assert np.array_equal(a[k], b[k])
 
@@ -242,8 +236,6 @@ def test_training_loop_smoke(tmp_path):
         iterations=2,
         episodes=3,
         search=SearchConfig(simulations=10),
-        filters=(4,),
-        dense_units=8,
         seed=1,
     )
     seen = []
@@ -263,10 +255,10 @@ def test_training_loop_smoke(tmp_path):
 
 def test_training_loop_zero_iterations(tmp_path):
     spec = parse_jobspec(TINY_TEXT)
-    cfg = TrainingConfig(iterations=0, filters=(4,), dense_units=8, seed=2)
+    cfg = TrainingConfig(iterations=0, seed=2)
     reports, params = training_loop(spec, cfg, out_dir=tmp_path)
     assert reports == []
-    fresh = init_params(spec.height, spec.width, filters=(4,), dense_units=8, seed=2)
+    fresh = init_params(spec.height, spec.width, seed=2)
     for k in params:
         assert np.array_equal(params[k], fresh[k])
     assert (tmp_path / "checkpoint_final.txt").exists()
@@ -276,7 +268,7 @@ def test_training_loop_zero_iterations(tmp_path):
 def test_training_loop_needs_an_episode(tmp_path, episodes):
     # refused before any work: no numpy warning from a mean over no
     # episodes, and no checkpoint written
-    cfg = TrainingConfig(iterations=1, episodes=episodes, filters=(4,), dense_units=8)
+    cfg = TrainingConfig(iterations=1, episodes=episodes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="episodes"):
@@ -292,8 +284,6 @@ def test_training_loop_is_deterministic():
             iterations=2,
             episodes=2,
             search=SearchConfig(simulations=10),
-            filters=(4,),
-            dense_units=8,
             seed=7,
         )
         return training_loop(spec, cfg)
