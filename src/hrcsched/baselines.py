@@ -35,16 +35,15 @@ The layout is one ``cells`` sequence per node, as in the game; a pick's
 child gets its own copy, on which ``board.cascade``, the gravity routine
 the game itself uses, removes the stone, so the layout alone records what
 was taken this epoch. The probe runs each pick's gravity once: it keeps
-the layout after a pick by layout, task and settled flag, of which
-``cascade`` is a pure function, so states that reach one layout share
-one tuple. That memo starts over when it holds ``PROBE_WIDTH`` entries.
-On a pass's last level each child is still one visit
-checked against the budget, and is counted as finished, stalled or on the
-frontier, but not expanded. A layout with floating stones settles on a
-route's first pick, as it does in play. The oracle keeps ``moves`` of its
-own rather than stepping with ``legal_actions`` and ``transition``, which
-gives the same results in 1.45 to 1.55 times the time (2,000 corpus jobs,
-seed 101).
+the layout after a pick by layout and task, of which ``cascade`` is a pure
+function, so states that reach one layout share one tuple. That memo
+starts over when it holds ``PROBE_WIDTH`` entries. On a pass's last level
+each child is still one visit checked against the budget, and is counted
+as finished, stalled or on the frontier, but not expanded. The first pick
+of a route on a floating layout settles it, as it does in play. The oracle
+keeps ``moves`` of its own rather than stepping with ``legal_actions`` and
+``transition``, which gives the same results in 1.45 to 1.55 times the
+time (2,000 corpus jobs, seed 101).
 
 The random baseline plays uniformly over the legal picks and declines only
 when it holds none.
@@ -123,7 +122,7 @@ def exhaustive_search(
     job = JobContext.build(spec, strict=strict)
     w, col, span, dur = job.width, job.col, job.span, job.duration
     ids, pred, ok = job.ids, job.pred, job.ok  # ok: the mask of tasks each agent may do
-    settled = job.settled
+    floating = job.floating
     labels = [str(a) for a in job.roster]
     agents = range(len(labels))
     everyone = (1 << len(labels)) - 1
@@ -202,7 +201,7 @@ def exhaustive_search(
         best = None  # (clock, depth, path) of the first of the fastest leaves
         depth = 0
         cap = node_budget // PROBE_DEPTH  # under it even the deepening fits the budget
-        after_pick = {}  # (grid, task, settled flag) -> the layout cascade leaves
+        after_pick = {}  # (grid, task) -> the layout cascade leaves
         while level:
             if depth == PROBE_DEPTH or len(level) > PROBE_WIDTH:
                 return None
@@ -210,11 +209,9 @@ def exhaustive_search(
             below = {}
             count = live = ended = 0
             for prefixes, path, state in level.values():
-                grid, idle, _, completed, clock, doing, finish = state
+                grid, _, _, _, clock, doing, finish = state
                 agent, children = moves(*state)
                 count += prefixes * len(children)
-                # The first pick of a route on a floating layout settles it.
-                firm = settled or idle != everyone or completed != 0
                 for rank, (t, child) in enumerate(children):
                     if child is None:
                         continue
@@ -229,13 +226,13 @@ def exhaustive_search(
                     if t < 0:
                         cells, tasks, ends = grid, doing, finish
                     else:
-                        cells = after_pick.get((grid, t, firm))
+                        cells = after_pick.get((grid, t))
                         if cells is None:
                             if len(after_pick) >= PROBE_WIDTH:
                                 after_pick.clear()
                             cells = list(grid)
-                            cascade(cells, col, span, w, t, firm)
-                            cells = after_pick[grid, t, firm] = tuple(cells)
+                            cascade(cells, col, span, w, t, floating)
+                            cells = after_pick[grid, t] = tuple(cells)
                         tasks = doing[:agent] + (1 << t,) + doing[agent + 1:]
                         ends = finish[:agent] + (clock + dur[t],) + finish[agent + 1:]
                     # busy agents' tasks and time left; idle agents' entries are stale
@@ -312,9 +309,8 @@ def exhaustive_search(
                 expand(depth, (path, rank, agent, t), grid, *child)
             else:
                 doing[agent], finish[agent] = 1 << t, clock + dur[t]
-                # The first pick of a route on a floating layout settles it.
                 cells = grid[:]
-                cascade(cells, col, span, w, t, settled or idle != everyone or completed)
+                cascade(cells, col, span, w, t, floating)
                 expand(depth, (path, rank, agent, t), cells, *child)
         doing[agent], finish[agent] = saved
 

@@ -42,11 +42,13 @@ other stone loses support. ``cascade`` shifts the run with one slice and
 reports it bottom-up. If the walk up the column meets a wide stone first,
 that stone may have rested on the run alone, and the heap cascade runs.
 
-Both arguments need a layout that was settled before the pick. A job file
-can describe floating stones, so ``JobContext.build``, which holds the
-job's tables, checks the initial layout once; the first cascade of an
-unsettled layout takes the leftmost cell of every stone above row 0 as a
-candidate, in ascending order and so already a heap: a full first pass.
+Both shortcuts need a layout that was settled before the pick. A job file
+can describe floating stones; ``JobContext.floating`` is the leftmost cell
+of the initial layout's first one, or -1. A cascade sees either the initial
+layout (declines share it) or one a cascade left at its fixpoint, so
+``cascade`` tests whether that stone still floats. If it does, every stone
+above row 0 is a candidate, in ascending order and so already a heap: a
+full first pass. The first pick of a route on a floating layout settles it.
 """
 
 from __future__ import annotations
@@ -79,13 +81,25 @@ class PickOutcome:
     descents: list[tuple[str, int, int]] = field(default_factory=list)
 
 
-def cascade(cells: list[int], col, span, width: int, t: int, settled: bool) -> list[int]:
+def _floats(cells: list[int], col, span, width: int, k: int) -> bool:
+    """Whether cell ``k`` (above row 0) starts a stone whose span has only empty cells below."""
+    s = cells[k]
+    return s >= 0 and col[s] == k % width and max(cells[k - width : k - width + span[s]]) < 0
+
+
+def first_floating(cells: list[int], col, span, width: int) -> int:
+    """The leftmost cell of the first floating stone in (row, col) order, or -1."""
+    return next((k for k in range(width, len(cells)) if _floats(cells, col, span, width, k)), -1)
+
+
+def cascade(cells: list[int], col, span, width: int, t: int, floating: int) -> list[int]:
     """Remove bottom-row task ``t`` from the layout, in place, and let the
     stack settle (see the module docstring).
 
-    Returns the task of every single-row descent, in scan order.
-    ``settled`` is False for the first cascade of a layout that may float.
+    Returns the task of every single-row descent, in scan order; ``floating``
+    is the job's ``JobContext.floating``.
     """
+    settled = floating < 0 or not _floats(cells, col, span, width, floating)
     lo = col[t]
     hi = lo + span[t]
     descents: list[int] = []
@@ -152,15 +166,16 @@ def cascade(cells: list[int], col, span, width: int, t: int, settled: bool) -> l
 class Board:
     """One layout over the tables of ``job``, the job's ``JobContext``.
 
-    A board owns its ``cells``: ``from_spec`` copies the job's layout, and
-    the board of a game state (``GameState.board``) copies the state's list,
-    which states never change and may share.
+    Its cells are the job's initial layout or one that a cascade left, as
+    ``cascade`` needs. A board owns its ``cells``: ``from_spec`` copies the
+    job's layout, and the board of a game state (``GameState.board``)
+    copies the state's list, which states never change and may share.
     """
 
-    __slots__ = ("job", "cells", "settled")
+    __slots__ = ("job", "cells")
 
-    def __init__(self, job, cells: list[int], settled: bool):
-        self.job, self.cells, self.settled = job, cells, settled
+    def __init__(self, job, cells: list[int]):
+        self.job, self.cells = job, cells
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "Board":
@@ -168,11 +183,10 @@ class Board:
         # game.py imports this module, so JobContext is imported here, on call
         from .game import JobContext
 
-        job = JobContext.build(spec)
-        return cls(job, spec.layout(), job.settled)
+        return cls(JobContext.build(spec), spec.layout())
 
     def copy(self) -> "Board":
-        return Board(self.job, self.cells[:], self.settled)
+        return Board(self.job, self.cells[:])
 
     def _rows(self) -> list[int]:
         """Each task's row, read off its cells; -1 once removed."""
@@ -203,8 +217,7 @@ class Board:
         if self.cells[job.col[t]] != t:
             raise BoardError(f"stone {task_id!r} is not in the bottom row")
         row = self._rows()  # each stone's row as the descents are replayed
-        fell = cascade(self.cells, job.col, job.span, job.width, t, self.settled)
-        self.settled = True
+        fell = cascade(self.cells, job.col, job.span, job.width, t, job.floating)
         descents = []
         for s in fell:
             descents.append((job.ids[s], row[s], row[s] - 1))
@@ -212,13 +225,7 @@ class Board:
         return PickOutcome(task_id, descents)
 
     def is_gravity_fixpoint(self) -> bool:
-        cells, w, col, span = self.cells, self.job.width, self.job.col, self.job.span
-        for k in range(w, len(cells)):
-            s = cells[k]
-            # at a stone's leftmost cell, floating: every cell under its span is empty
-            if s >= 0 and col[s] == k % w and cells[k - w : k - w + span[s]].count(-1) == span[s]:
-                return False
-        return True
+        return first_floating(self.cells, self.job.col, self.job.span, self.job.width) < 0
 
     def render(self) -> str:
         """Text picture, top row first: '.' empty, else the stone's kind."""

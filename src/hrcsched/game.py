@@ -14,20 +14,20 @@ descended into the bottom row stays unpickable until every direct
 predecessor has completed. In literal mode any bottom-row stone is fair
 game, even in the same epoch it descended.
 
-State is flat. ``JobContext`` numbers the tasks in job order and the
-agents in roster order, once per job, and holds every table that never
-changes: columns, spans, durations, each agent's compatible tasks and each
-task's direct predecessors as bitmasks (``derive_precedence``'s sets), and
-whether the initial layout (``JobSpec.layout``) is at its gravity
-fixpoint. A ``GameState`` holds the layout as ``board.py`` defines it
-(``cells`` alone: a stone's row is its cell index ``// width``), each
-agent's task index (-1 when idle) and finish clock, the clock, a bitmask
-of the completed tasks, and the index of the agent to act next (-1 once
-the epoch is closed). Nothing else is stored, because the rest follows: a
-stone taken this epoch has left the layout, and the agents that declined
-this epoch are the idle ones before the pending agent. The rules and every
-caller read these fields directly; ``board`` is a ``Board`` over a copy of
-the layout, built on each access. ``transition`` is the one step function:
+State is flat. ``JobContext`` numbers the tasks in job order and the agents
+in roster order, once per job, and holds every table that never changes:
+columns, spans, durations, each agent's compatible tasks and each task's
+direct predecessors as bitmasks (``derive_precedence``'s sets), and where the
+initial layout floats, which only ``cascade`` reads (the first pick of a
+route on a floating layout settles it). A ``GameState`` holds the layout as
+``board.py`` defines it (``cells`` alone: a stone's row is its cell index
+``// width``), each agent's task index (-1 when idle) and finish clock, the
+clock, a bitmask of the completed tasks, and the index of the agent to act
+next (-1 once the epoch is closed). Nothing else is stored, because the rest
+follows: a stone taken this epoch has left the layout, and the agents that
+declined this epoch are the idle ones before the pending agent. The rules and
+every caller read these fields directly; ``board`` is a ``Board`` over a copy
+of the layout, built on each access. ``transition`` is the one step function:
 it acts for the pending agent and closes the epoch when that agent was the
 last to act. States are never changed once made: a pick copies its state's
 lists once, and a decline shares the layout with the state it came from.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import Board, cascade
+from .board import Board, cascade, first_floating
 from .jobspec import HUMAN_ONLY, ROBOT_ONLY, JobSpec, derive_precedence
 
 
@@ -113,8 +113,8 @@ class JobContext:
         job.duration = tuple(t.duration for t in tasks)
         job.picks = tuple(AgentAction(t.id) for t in tasks)  # each task's pick action
         job.full = (1 << len(tasks)) - 1  # the mask of all tasks
-        # whether the initial layout is at its gravity fixpoint
-        job.settled = Board(job, spec.layout(), False).is_gravity_fixpoint()
+        # the leftmost cell of the initial layout's first floating stone, or -1
+        job.floating = first_floating(spec.layout(), job.col, job.span, job.width)
         # per agent, the mask of the tasks it may do
         human = sum(1 << i for i, kind in enumerate(job.kinds) if kind != ROBOT_ONLY)
         robot = sum(1 << i for i, kind in enumerate(job.kinds) if kind != HUMAN_ONLY)
@@ -152,9 +152,8 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """A board over a copy of ``cells``, so changing it leaves the state unchanged,
-        settled as the job's layout is (an unsettled first cascade is exact on any layout)."""
-        return Board(self.job, self.cells[:], self.job.settled)
+        """A board over a copy of ``cells``, so changing it leaves the state unchanged."""
+        return Board(self.job, self.cells[:])
 
 
 # The context built by the latest initial_state call. Every caller plays one
@@ -260,8 +259,7 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
         if t is None or cells[job.col[t]] != t or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
         cells, doing, finish = cells[:], state.doing[:], state.finish[:]
-        settled = job.settled or done != 0 or max(doing) >= 0  # a pick settles the layout
-        cascade(cells, job.col, job.span, job.width, t, settled)
+        cascade(cells, job.col, job.span, job.width, t, job.floating)
         doing[p] = t
         finish[p] = state.clock + job.duration[t]
         nxt = GameState(job, cells, doing, finish, state.clock, done, _first_idle(doing, p + 1))

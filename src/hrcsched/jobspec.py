@@ -25,6 +25,9 @@ TASK_KINDS = (HUMAN_ONLY, ROBOT_ONLY, EITHER)
 # above any real job (the desk has 120 cells and 2 agents).
 MAX_CELLS = 10_000
 MAX_AGENTS = 100
+# The search and the baselines work with times as floats, and 2**53 is the
+# largest whole number a float64 holds exactly.
+MAX_TOTAL_DURATION = 2**53
 
 
 class JobSpecError(ValueError):
@@ -133,6 +136,8 @@ def _validate(spec: JobSpec) -> None:
             raise JobSpecError(f"task {t.id!r} needs a robot but the roster has none")
     if cells[:width].count(-1) == width:
         raise JobSpecError("no task on row 0, so none can be picked first")
+    if spec.total_duration() > MAX_TOTAL_DURATION:
+        raise JobSpecError("the task durations sum to more than 2**53")
     object.__setattr__(spec, "_cells", tuple(cells))
 
 

@@ -217,8 +217,8 @@ def training_loop(
     reports: list[IterationReport] = []
     best: int | None = None
 
+    evaluator = NetEvaluator(params, spec.height, spec.width)  # one per weight set
     for k in range(cfg.iterations):
-        evaluator = NetEvaluator(params, spec.height, spec.width)
         makespans: list[int] = []
         for e in range(cfg.episodes):
             record, examples = generate_episode(
@@ -236,12 +236,11 @@ def training_loop(
             list(buffer), params, seed=episode_seed(cfg.seed, k, cfg.episodes + 1)
         )
 
+        # the greedy episode and the next iteration's self-play share it and its cache
+        evaluator = NetEvaluator(params, spec.height, spec.width)
         greedy = play(
-            spec,
-            search_chooser(NetEvaluator(params, spec.height, spec.width), cfg.search),
-            seed=episode_seed(cfg.seed, k, cfg.episodes),
-            strict=cfg.strict,
-            record_decisions=False,
+            spec, search_chooser(evaluator, cfg.search), episode_seed(cfg.seed, k, cfg.episodes),
+            strict=cfg.strict, record_decisions=False,
         )
         candidates = makespans + [greedy.makespan]
         best = min(candidates) if best is None else min(best, *candidates)

@@ -43,6 +43,7 @@ from hrcsched.baselines import MAX_DEPTH, PROBE_DEPTH
 from hrcsched.game import pick
 
 from conftest import TINY_TEXT, random_instance
+from test_board import FLOAT_TEXT
 
 
 def reference_optimum(spec, strict=True):
@@ -405,9 +406,9 @@ def counting_cascades(monkeypatch):
     calls = []
     cascade = baselines.cascade
 
-    def counted(cells, col, span, width, t, settled):
+    def counted(cells, col, span, width, t, floating):
         calls.append((tuple(cells), t))
-        return cascade(cells, col, span, width, t, settled)
+        return cascade(cells, col, span, width, t, floating)
 
     monkeypatch.setattr(baselines, "cascade", counted)
     return calls
@@ -427,6 +428,30 @@ def test_probe_runs_each_picks_gravity_once(monkeypatch):
                 assert len(calls) == len(set(calls)), (spec, strict)
                 answered += 1
     assert answered >= 100
+
+
+def test_probe_runs_each_picks_gravity_once_on_floating_jobs(monkeypatch):
+    # Literal mode, so stones are picked as soon as they land; the memo is
+    # keyed by layout and task alone, and a floating job's initial layout
+    # and the layouts its cascades leave never collide.
+    monkeypatch.setattr(baselines, "MAX_DEPTH", 0)
+    calls = counting_cascades(monkeypatch)
+    specs = [parse_jobspec(FLOAT_TEXT)]
+    for seed in range(100):
+        try:
+            specs.append(floating_instance(seed))
+        except JobSpecError:
+            continue  # no stone on row 0: not a job
+    answered = floating = 0
+    for spec in specs:
+        calls.clear()
+        result = exhaustive_search(spec, strict=False)
+        if result.status == COMPLETE:
+            assert len(calls) == len(set(calls)), spec
+            assert result == reference_search(spec, strict=False)
+            answered += 1
+            floating += not Board.from_spec(spec).is_gravity_fixpoint()
+    assert answered >= 60 and floating >= 30
 
 
 def test_probe_memo_starts_over_at_its_bound(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hrcsched.board as board_module
 from hrcsched import (
     Board, BoardError, JobSpec, JobSpecError, Stone, Task, desk_fixture, parse_jobspec,
 )
@@ -209,10 +210,10 @@ def random_layout(rng: np.random.Generator) -> tuple[Board, ReferenceBoard] | No
 
 def column_run(board: Board, task_id: str) -> bool:
     """Whether picking ``task_id`` is the column-run case of ``cascade``: a
-    settled layout, a one-wide pick, and only one-wide stones above it up
-    to a gap or the top."""
+    layout at its fixpoint, a one-wide pick, and only one-wide stones above
+    it up to a gap or the top."""
     stones = board.stones
-    if not board.settled or stones[task_id].span != 1:
+    if not board.is_gravity_fixpoint() or stones[task_id].span != 1:
         return False
     col = stones[task_id].col
     for row in id_grid(board)[1:]:
@@ -234,7 +235,7 @@ def test_cascade_matches_full_rescan_on_random_boards():
         boards += 1
         # JobContext.build's fixpoint check agrees with a settling pass on a fresh copy
         still = not settling_pass(ReferenceBoard(fast))
-        assert fast.job.settled == still
+        assert (fast.job.floating < 0) == still
         floating += not still
         while bottom_row(fast):
             assert bottom_row(fast) == slow.bottom_row_tasks()
@@ -303,18 +304,42 @@ def test_wide_stone_resting_on_the_run_and_a_neighbour_stays():
 
 
 def test_floating_job_gets_a_full_first_pass():
-    """``from_spec`` marks a settled job settled, so its first cascade only
-    examines the stones above the pick, and a job with a floating stone
-    unsettled, so its first cascade also drops a stone far from the pick."""
-    assert Board.from_spec(desk_fixture()).settled
+    """A settled job has no floating stone, so its first cascade only
+    examines the stones above the pick. A job with a floating stone records
+    its leftmost cell, and its first cascade also drops a stone far from
+    the pick."""
+    assert Board.from_spec(desk_fixture()).job.floating == -1
     text = "board 2 3\nagents 1 1\ntask a H 1 0 0\ntask b R 1 1 0\ntask c E 1 1 2\n"
     board = make_board(text)
-    assert not board.settled
+    assert board.job.floating == 5  # c: row 2, column 1
     slow = ReferenceBoard(make_board(text))
     assert board.remove_and_cascade("a").descents == reference_cascade(slow, "a") == [
         ("c", 2, 1)
     ]
-    assert board.settled and id_grid(board) == slow.grid
+    assert board.is_gravity_fixpoint() and id_grid(board) == slow.grid
+
+
+# c floats over the gap above b, and e rests on c alone
+FLOAT_TEXT = (
+    "board 3 4\nagents 1 1\ntask a H 2 0 0\ntask b R 3 1 0\ntask c E 1 1 2\n"
+    "task d R 2 2 0\ntask e H 4 1 3 2\n"
+)
+
+
+def test_floating_job_takes_the_column_run_after_its_first_pick(monkeypatch):
+    """The first pick settles the layout, so the next one-wide pick under
+    nothing is a column run: no heap at all."""
+    board = make_board(FLOAT_TEXT)
+    slow = ReferenceBoard(make_board(FLOAT_TEXT))
+    assert board.remove_and_cascade("a").descents == reference_cascade(slow, "a") == [
+        ("c", 2, 1), ("e", 3, 2)
+    ]
+    pops = []
+    heappop = board_module.heappop
+    monkeypatch.setattr(board_module, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    assert column_run(board, "d")
+    assert board.remove_and_cascade("d").descents == reference_cascade(slow, "d") == []
+    assert pops == [] and id_grid(board) == slow.grid
 
 
 def snapshot(board: Board):

@@ -255,6 +255,14 @@ def test_job_without_a_row_0_stone_exits_3(command, tmp_path, capsys):
     assert "invalid jobspec: no task on row 0" in capsys.readouterr().err
 
 
+def test_job_whose_durations_overflow_a_float_exits_3(tmp_path, capsys):
+    path = tmp_path / "long.job"
+    path.write_text(f"board 2 2\nagents 1 1\ntask a H 1{'0' * 400} 0 0\n", encoding="utf-8")
+    code = run_cli(["solve", "--jobspec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "invalid jobspec: the task durations sum to more than 2**53" in capsys.readouterr().err
+
+
 def test_garbage_checkpoint_exits_4(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "weights.txt"
     ckpt.write_text("not a checkpoint\n", encoding="utf-8")

@@ -111,6 +111,24 @@ def test_job_size_limits():
     assert at_limit.humans + at_limit.robots == MAX_AGENTS
 
 
+def test_total_duration_limit():
+    # times become floats in the search and the baselines, exact up to 2**53
+    for total, accepted in ((2**53, True), (2**53 + 1, False)):
+        text = (
+            f"board 2 2\nagents 1 1\ntask a H {total - 2} 0 0\n"
+            "task b R 1 1 0\ntask c E 1 0 1\n"
+        )
+        tasks = (Task("a", "H", total - 1, 0, 0), Task("b", "R", 1, 1, 0))
+        if accepted:
+            assert parse_jobspec(text).total_duration() == total
+            assert JobSpec(2, 2, 1, 1, tasks).total_duration() == total
+        else:
+            with pytest.raises(JobSpecError, match=r"sum to more than 2\*\*53"):
+                parse_jobspec(text)
+            with pytest.raises(JobSpecError, match=r"sum to more than 2\*\*53"):
+                JobSpec(2, 2, 1, 1, tasks)
+
+
 def test_job_without_a_row_0_stone_is_refused():
     # only bottom-row stones can be picked, so play could not start
     with pytest.raises(JobSpecError, match="no task on row 0"):
