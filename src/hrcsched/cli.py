@@ -7,15 +7,19 @@ search).
 
 Exit codes: 0 success, 1 runtime failure (illegal play, deadlock or
 unwritable output), 2 bad command line, 3 unreadable or invalid jobspec,
-4 unreadable or mismatched checkpoint.
+4 unreadable or mismatched checkpoint, or one whose weights overflow the
+network in ``solve`` or ``advise``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+
+import numpy as np
 
 from .baselines import (
     BUDGET_EXCEEDED,
@@ -178,6 +182,19 @@ def _make_evaluator(args, spec: JobSpec, seed: int) -> NetEvaluator:
         raise _CliError(4, f"checkpoint does not fit this job: {exc}")
 
 
+@contextlib.contextmanager
+def _finite_network():
+    """Raise numpy's overflow and invalid-value warnings as errors, and turn
+    them into exit 4: a checkpoint's weights are finite, but may be large
+    enough to overflow the network, which would then play on infinities and
+    NaNs. Entered once per command, not per evaluation."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise _CliError(4, f"checkpoint weights overflow the network: {exc}") from None
+
+
 def _write(out_dir, name: str, text: str | None = None) -> None:
     """Write ``text`` to ``name`` in ``out_dir``, making the directory
     first; with no text, only make the directory."""
@@ -191,6 +208,7 @@ def _write(out_dir, name: str, text: str | None = None) -> None:
         raise _CliError(1, f"cannot write {path}: {exc}")
 
 
+@_finite_network()
 def _cmd_solve(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     evaluator = _make_evaluator(args, spec, seed)
@@ -328,6 +346,7 @@ def _prompt_human(state, agent, out):
         print("commands: pick <task>, wait, board, quit", file=out)
 
 
+@_finite_network()
 def _cmd_advise(args, spec: JobSpec, seed: int, strict: bool) -> int:
     config = _search_config(args)
     robots = search_chooser(_make_evaluator(args, spec, seed), config)

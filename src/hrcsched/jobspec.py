@@ -28,6 +28,9 @@ MAX_AGENTS = 100
 # The search and the baselines work with times as floats, and 2**53 is the
 # largest whole number a float64 holds exactly.
 MAX_TOTAL_DURATION = 2**53
+_DURATIONS_TOO_LONG = "the task durations sum to more than 2**53"
+# no number in a valid job has more digits than 2**53, which has 16
+_INT_DIGITS = len(str(MAX_TOTAL_DURATION))
 
 
 class JobSpecError(ValueError):
@@ -137,7 +140,7 @@ def _validate(spec: JobSpec) -> None:
     if cells[:width].count(-1) == width:
         raise JobSpecError("no task on row 0, so none can be picked first")
     if spec.total_duration() > MAX_TOTAL_DURATION:
-        raise JobSpecError("the task durations sum to more than 2**53")
+        raise JobSpecError(_DURATIONS_TOO_LONG)
     object.__setattr__(spec, "_cells", tuple(cells))
 
 
@@ -188,7 +191,8 @@ def parse_jobspec(text: str) -> JobSpec:
             check_task_id(tid, lineno)
             if kind not in TASK_KINDS:
                 raise JobSpecError(f"unknown task kind {kind!r}", lineno)
-            duration, col, row = _ints(fields[3:6], lineno)
+            # a duration too long to read breaks the durations' limit on its own
+            duration, col, row = _ints(fields[3:6], lineno, too_long=_DURATIONS_TOO_LONG)
             span = _ints(fields[6:], lineno)[0] if len(fields) == 7 else 1
             tasks.append(Task(tid, kind, duration, col, row, span))
         else:
@@ -202,13 +206,25 @@ def parse_jobspec(text: str) -> JobSpec:
     return JobSpec(width, height, humans, robots, tuple(tasks))
 
 
-def _ints(fields, lineno):
+def _ints(fields, lineno, too_long=None):
+    """The fields as integers, each ASCII digits with an optional sign, at
+    most 16 of them: ``int`` alone also reads other scripts' digits and
+    underscores, and any longer number breaks a limit of the job. An
+    unsigned first field of more digits raises ``too_long``, with no line
+    number, if given. A refusal echoes at most 20 characters."""
     values = []
     for f in fields:
-        try:
-            values.append(int(f))
-        except ValueError:
-            raise JobSpecError(f"expected an integer, got {f!r}", lineno) from None
+        if not (f.isdigit() and f.isascii() and len(f) <= _INT_DIGITS):  # unsigned, as most are
+            digits = f[1:] if f[0] in "+-" else f
+            number = digits.isdigit() and digits.isascii()
+            if not (number and len(digits) <= _INT_DIGITS):
+                if number and too_long is not None and not values and f[0] != "-":
+                    raise JobSpecError(too_long)
+                shown = f if len(f) <= 20 else f[:20] + "..."
+                raise JobSpecError(
+                    f"expected an integer of at most {_INT_DIGITS} digits, got {shown!r}", lineno
+                )
+        values.append(int(f))
     return values
 
 

@@ -12,11 +12,16 @@ its convolution, so the same code serves the full-size board and the tiny
 boards used in tests. Layer structure is recoverable from parameter names
 and shapes alone, which keeps the checkpoint format flat.
 
-Training runs ``_conv2d`` on every block. ``NetEvaluator`` reads the first
-block's output from a table over the 256 inputs a 2x2 kernel can see on
-a one-hot map, a pooled block's in one gather of the rows its pooling
-windows hold, and runs ``_forward`` from the second block on; its results
-equal ``forward``'s bit for bit.
+Training runs ``_forward``, and ``_conv2d`` on every block. ``NetEvaluator``,
+which values the search's leaves one at a time, reads the first block's
+output from a table over the 256 inputs a 2x2 kernel can see on a one-hot
+map. Each later block is one matmul, one gather of the four kernel
+offsets' rows of every output cell it keeps, and one reduction over the
+offsets; a pooled block takes the maximum of its pooling windows in one
+more reduction, before the ReLU. Both then run ``_heads``, the dense layer
+and the two heads. Every step adds, multiplies and compares the operands
+``_forward`` does in the order it does, and ReLU commutes with the
+maximum, so the evaluator's results equal ``forward``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -146,7 +151,8 @@ def _conv2d(x: np.ndarray, wmat: np.ndarray, b: np.ndarray) -> np.ndarray:
     under the kernel, offsets in the order (0, 0), (0, 1), (1, 0), (1, 1),
     and the bias last: the same sums in the same order as one matmul per
     offset, so the result is the same bit for bit. ``NetEvaluator``'s table
-    of the first block adds in this order too.
+    of the first block and its gather of the later ones add in this order
+    too.
     """
     bsz, h, wd, ch = x.shape
     y = (x.reshape(-1, ch) @ wmat).reshape(bsz, h, wd, KERNEL * KERNEL, -1)
@@ -228,19 +234,27 @@ def _forward(net, x: np.ndarray):
     Returns (p, raw v, what backprop needs). The last is a tuple: the
     input, ReLU output and pool-after flag of each conv layer, the shape of
     the last conv block's output, the flattened features, the dense layer's
-    ReLU output and the policy's log-probabilities. Training runs it on
-    the one-hot input; ``NetEvaluator`` runs it from the second block on,
-    on the first block's output read from its table.
+    ReLU output and the policy's log-probabilities. Training and
+    ``forward`` run it; ``NetEvaluator`` runs its own conv path and then
+    ``_heads``.
     """
-    layers, dense_w, dense_b, policy_w, policy_b, value_w, value_b = net
     blocks = []
     a = x
-    for wmat, b, pooled in layers:
+    for wmat, b, pooled in net[0]:
         relu = _conv2d(a, wmat, b)
         np.maximum(relu, 0.0, out=relu)
         blocks.append((a, relu, pooled))
         a = _maxpool(relu) if pooled else relu
     flat = a.reshape(a.shape[0], -1)
+    p, v, h1, log_p = _heads(net, flat)
+    return p, v, (blocks, a.shape, flat, h1, log_p)
+
+
+def _heads(net, flat: np.ndarray):
+    """The dense layer and both heads of a prepared net over a batch of
+    flattened conv features. Returns (p, raw v, the dense layer's ReLU
+    output, the policy's log-probabilities)."""
+    dense_w, dense_b, policy_w, policy_b, value_w, value_b = net[1:]
     # in place, to save temporaries; the pinned outputs rest on this order of
     # operations, so keep it
     h1 = flat @ dense_w
@@ -254,7 +268,7 @@ def _forward(net, x: np.ndarray):
     np.exp(log_p, out=p)
     v = h1 @ value_w
     v += value_b
-    return p, v[:, 0], (blocks, a.shape, flat, h1, log_p)
+    return p, v[:, 0], h1, log_p
 
 
 def _forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
@@ -397,7 +411,7 @@ def encode_state(state: GameState, height: int, width: int) -> np.ndarray:
     return _ONE_HOT[_kind_grid(state, height, width)]
 
 
-@functools.lru_cache(maxsize=1)  # a process evaluates one input size many times in a row
+@functools.lru_cache(maxsize=8)  # a process evaluates one net's few input sizes many times
 def _kernel_windows(height: int, width: int) -> np.ndarray:
     """For each output cell of a valid 2x2 convolution over height x width
     inputs, the flat indices of the four input cells under its kernel, in
@@ -409,7 +423,7 @@ def _kernel_windows(height: int, width: int) -> np.ndarray:
     return windows
 
 
-@functools.lru_cache(maxsize=1)  # as _kernel_windows
+@functools.lru_cache(maxsize=8)  # as _kernel_windows
 def _pooled_windows(height: int, width: int) -> np.ndarray:
     """``_kernel_windows`` cut into ``_maxpool``'s four strided views of
     the convolution's output, stacked in its order (0, 0), (0, 1), (1, 0),
@@ -420,6 +434,18 @@ def _pooled_windows(height: int, width: int) -> np.ndarray:
     views = np.stack([windows[di:h:POOL, dj:w:POOL] for di in range(POOL) for dj in range(POOL)])
     views.flags.writeable = False
     return views
+
+
+@functools.lru_cache(maxsize=8)  # as _kernel_windows
+def _block_rows(height: int, width: int, pooled: bool) -> np.ndarray:
+    """The rows a later conv block gathers from its matmul's output, laid
+    out (cells x 4 offsets, filters): offset first, then the output cells,
+    ``_pooled_windows``' four views when the block pools, else
+    ``_kernel_windows``' grid. Shape (4, [4,] oh, ow)."""
+    windows = (_pooled_windows if pooled else _kernel_windows)(height, width)
+    rows = np.moveaxis(windows * (KERNEL * KERNEL) + np.arange(KERNEL * KERNEL), -1, 0).copy()
+    rows.flags.writeable = False
+    return rows
 
 
 CHECKPOINT_HEADER = "HRCNET v1"
@@ -550,7 +576,8 @@ class NetEvaluator:
     The weights are checked against the input size and the conv kernels
     laid out once, here, so ``params`` must not change while the evaluator
     is in use. Its results equal ``forward``'s on ``encode_state`` bit for
-    bit.
+    bit: every step below adds, multiplies and compares the operands
+    ``_forward`` does, in the order it does.
 
     The first conv block is read from a table. Its input is one-hot, so its
     output at a cell depends only on the four kind codes under the kernel:
@@ -560,10 +587,17 @@ class NetEvaluator:
     ``_conv2d``'s output bit for bit. An evaluation maps the layout to kind
     codes and reads one row per output cell. When the block pools, it reads
     only the cells ``_maxpool`` keeps, as its four strided views in one
-    gather (``_pooled_windows``), and takes their maximum as ``_maxpool``
-    does: the same operands in the same order. Then it runs ``_forward``
-    from the second block on. A net with no conv block runs ``_forward`` on
-    ``encode_state``.
+    gather (``_pooled_windows``), and takes their maximum in one reduction.
+
+    Each later block runs ``_conv2d``'s matmul, then gathers the four
+    offsets' rows of every output cell it needs in one ``take``
+    (``_block_rows``) and adds them over the offsets in one reduction,
+    which adds ``((y0 + y1) + y2) + y3`` elementwise as ``_conv2d`` does,
+    and adds the bias last. A pooled block gathers only the cells
+    ``_maxpool`` keeps and takes the maximum of its four views in one
+    reduction before the ReLU: the maximum is exact, and ReLU commutes with
+    it. The dense layer and heads are ``_heads``, which ``_forward`` calls
+    too. A net with no conv block runs ``_heads`` on ``encode_state``.
 
     Evaluations are cached per job and layout, the state's ``cells``: the
     input reads nothing else of the state, so states differing in clocks
@@ -575,10 +609,10 @@ class NetEvaluator:
         self.width = width
         self._net = _prepare(params, height, width, len(CHANNEL_OF_KIND))
         self._table = None
+        self._blocks = []  # (weights, bias, pool-after, gather rows) of each later block
         self._cache: dict = {}
         if self._net[0]:
             (wmat, bias, self._pooled), *rest = self._net[0]
-            self._net = (tuple(rest), *self._net[1:])  # the second block on
             # y[code, offset] is what _conv2d's matmul gives a cell of that
             # code at that offset, and table[a, b, c, d] adds y[a, 0],
             # y[b, 1], y[c, 2], y[d, 3] and the bias in _conv2d's order
@@ -591,6 +625,11 @@ class NetEvaluator:
             self._table = np.maximum(table, 0.0, out=table)
             windows = _pooled_windows if self._pooled else _kernel_windows
             self._windows = windows(height, width)
+            h, w = self._windows.shape[-3:-1]
+            for wmat, bias, pooled in rest:
+                rows = _block_rows(h, w, pooled)
+                self._blocks.append((wmat, bias, pooled, rows))
+                h, w = rows.shape[-2:]
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
         key = (state.job, tuple(state.cells))
@@ -598,15 +637,20 @@ class NetEvaluator:
         if hit is not None:
             return hit
         if self._table is None:
-            x = encode_state(state, self.height, self.width)[None]
+            a = encode_state(state, self.height, self.width)
         else:
             codes = _kind_grid(state, self.height, self.width).ravel()
-            x = self._table[codes[self._windows] @ _PLACE_VALUES]
+            a = self._table[codes[self._windows] @ _PLACE_VALUES]
             if self._pooled:
-                # _maxpool's maxima of its four views, read straight off the table
-                x = np.maximum(np.maximum(x[0], x[1]), np.maximum(x[2], x[3]))
-            x = x[None]
-        p, v, _ = _forward(self._net, x)
+                a = np.maximum.reduce(a)  # _maxpool's maximum of its four views
+            for wmat, bias, pooled, rows in self._blocks:
+                y = a.reshape(-1, wmat.shape[0]) @ wmat
+                a = np.add.reduce(y.reshape(-1, bias.shape[0]).take(rows, axis=0))
+                a += bias
+                if pooled:
+                    a = np.maximum.reduce(a)
+                np.maximum(a, 0.0, out=a)
+        p, v, _, _ = _heads(self._net, a.reshape(1, -1))
         result = self._cache[key] = (p[0], float(min(v[0], 0.0)))
         return result
 

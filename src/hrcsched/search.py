@@ -96,19 +96,34 @@ def select_edge(node: SearchNode, c_puct: float) -> Edge:
     return best
 
 
-def masked_priors(p: np.ndarray, columns: list[int]) -> np.ndarray:
+def masked_priors(p: np.ndarray, columns: list[int]) -> list[float]:
     """Network column probabilities restricted to the legal set, renormalised.
 
     Ratios among the kept entries are preserved. ``p`` is the evaluator's
-    float64 array, indexed as it is; any other sequence is converted.
+    float64 array, indexed as it is; any other sequence is converted. The
+    result is a list of Python floats.
+
+    The kept entries are totalled as numpy's ``sum`` totals them, so the
+    priors do not depend on which branch ran: below eight columns numpy
+    adds left to right, and so does the loop here; from eight columns on
+    numpy's pairwise sum adds in another order, and numpy sums. A zero
+    total falls back to uniform priors.
     """
     if not isinstance(p, np.ndarray):
         p = np.asarray(p, dtype=float)
-    masked = p[columns]
-    total = masked.sum()
+    if len(columns) < 8:
+        row = p.tolist()
+        masked = [row[c] for c in columns]
+        total = 0.0
+        for m in masked:
+            total += m
+    else:
+        masked = p[columns]
+        total = float(masked.sum())
+        masked = masked.tolist()
     if total <= 0:
-        return np.full(len(columns), 1.0 / len(columns))
-    return masked / total
+        return [1.0 / len(columns)] * len(columns)
+    return [m / total for m in masked]
 
 
 def expand_and_evaluate(node: SearchNode, evaluator) -> float:
@@ -131,17 +146,14 @@ def expand_and_evaluate(node: SearchNode, evaluator) -> float:
     if picks:
         job = state.job
         col, index = job.col, job.index
-        cols = [col[index[a.task]] for a in picks]
-        weights = masked_priors(p, cols).tolist()
+        weights = masked_priors(p, [col[index[a.task]] for a in picks])
         weights.append(NOOP_PRIOR)
         total = 0.0  # left to right: builtin sum() compensates from Python 3.12 on
         for w in weights:
             total += w
-        priors = [w / total for w in weights]
+        node.edges = [Edge(action=a, prior=w / total) for a, w in zip(actions, weights)]
     else:
-        priors = [1.0]
-
-    node.edges = [Edge(action=a, prior=w) for a, w in zip(actions, priors)]
+        node.edges = [Edge(action=actions[0], prior=1.0)]
     return float(value)
 
 

@@ -326,6 +326,28 @@ def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, weight", [("dense_w", 1e308), ("conv0_w", -1e308)])
+def test_checkpoint_whose_weights_overflow_exits_4(name, weight, tmp_path, capsys, recwarn):
+    # finite weights pass the loader, but overflow the network: dense_w in
+    # the dense layer's matmul, conv0_w in the evaluator's first-block table
+    desk = desk_fixture()
+    job = tmp_path / "desk.job"
+    job.write_text(serialize_jobspec(desk), encoding="utf-8")
+    ckpt = tmp_path / "huge.txt"
+    params = init_params(desk.height, desk.width)
+    params[name][:] = weight
+    save_checkpoint(params, ckpt)
+    code = run_cli(
+        ["solve", "--jobspec", str(job), "--out", str(tmp_path / "o"),
+         "--checkpoint", str(ckpt), "--simulations", "5"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint weights overflow the network: ")
+    assert err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_checkpoint_with_a_weight_of_the_wrong_rank_exits_4(tiny_path, tmp_path, capsys):
     ckpt = tmp_path / "cube.txt"
     params = init_params(2, 2)

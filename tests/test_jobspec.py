@@ -96,6 +96,24 @@ def test_parse_errors(text, fragment):
         parse_jobspec(text)
 
 
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ("task a E \u0663 0 0", "line 3: expected an integer of at most 16 digits, got '\u0663'"),
+        ("task a E 1_0 0 0", "line 3: expected an integer of at most 16 digits, got '1_0'"),
+        # a duration longer than 2**53 breaks the limit on the durations' sum
+        (f"task a E {'1' * 5001} 0 0", "the task durations sum to more than 2**53"),
+        (f"task a E 1 {'1' * 5001} 0", "line 3: expected an integer of at most 16 digits, "
+                                       f"got '{'1' * 20}...'"),
+    ],
+    ids=["arabic-indic-digit", "underscore", "5001-digit-duration", "5001-digit-column"],
+)
+def test_integers_are_ascii_digits_of_at_most_16(task, message):
+    with pytest.raises(JobSpecError) as err:
+        parse_jobspec(f"board 2 2\nagents 1 1\n{task}\n")
+    assert str(err.value) == message
+
+
 def test_job_size_limits():
     # a job is refused before anything is allocated per cell or per agent
     with pytest.raises(JobSpecError, match="cells"):

@@ -558,9 +558,19 @@ task X R 1 0 3
 """
 
 # input size and filters: no conv block, one unpooled block, one pooled
-# block, the desk's two pooled blocks, and a pooled block whose 5x5 input
-# loses its last row and column to the pooling
-NETS = [((1, 3), FILTERS), ((2, 2), FILTERS), ((4, 3), (4,)), ((15, 8), FILTERS), ((6, 6), (4,))]
+# block, the desk's two pooled blocks, a pooled block whose 5x5 input
+# loses its last row and column to the pooling, a pooled block followed by
+# an unpooled one, and three pooled blocks, the first and last of which
+# lose their last row and column to the pooling
+NETS = [
+    ((1, 3), FILTERS),
+    ((2, 2), FILTERS),
+    ((4, 3), (4,)),
+    ((15, 8), FILTERS),
+    ((6, 6), (4,)),
+    ((5, 5), FILTERS),
+    ((20, 20), (4, 4, 4)),
+]
 
 
 def trained_on_desk(params, size):
@@ -610,7 +620,7 @@ def test_evaluator_miss_equals_forward_exactly(weights_seed):
                         # bytes, since == takes -0.0 for 0.0
                         assert p.tobytes() == want.p.tobytes()
                         assert np.float64(v).tobytes() == np.float64(want.v).tobytes()
-    assert len(checked) == 1 + 1 + 3 + 4 + 3  # the jobs that fit each net, padded or not
+    assert len(checked) == 1 + 1 + 3 + 4 + 3 + 3 + 4  # the jobs that fit each net, padded or not
 
 
 @pytest.mark.parametrize("size, filters", NETS[:3])

@@ -263,10 +263,36 @@ def test_backup_adds_reward_from_each_edge_onward():
 
 
 def test_masked_priors():
-    assert masked_priors([0.2, 0.8], [0, 1]).tolist() == [0.2, 0.8]
-    assert masked_priors([0.2, 0.8], [1]).tolist() == [1.0]
+    assert masked_priors([0.2, 0.8], [0, 1]) == [0.2, 0.8]
+    assert masked_priors([0.2, 0.8], [1]) == [1.0]
     # a zero mass on the legal set falls back to uniform
-    assert masked_priors([0.0, 0.0], [0, 1]).tolist() == [0.5, 0.5]
+    assert masked_priors([0.0, 0.0], [0, 1]) == [0.5, 0.5]
+
+
+def reference_masked_priors(p, cols):
+    masked = p[cols]
+    total = masked.sum()
+    if total <= 0:
+        return np.full(len(cols), 1.0 / len(cols))
+    return masked / total
+
+
+def test_masked_priors_equal_numpy_exactly():
+    """Below eight columns the priors are totalled in a Python loop, from
+    eight on by numpy: both must give numpy's bytes, zero mass included."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 13):
+        for trial in range(300):
+            width = n + int(rng.integers(0, 4))
+            # masses spread over many orders of magnitude, so that the order
+            # of the additions shows in the total's last bits
+            p = rng.random(width) * 10.0 ** rng.integers(-8, 1, width)
+            if trial == 0:
+                p[:] = 0.0
+            cols = sorted(rng.choice(width, n, replace=False).tolist())
+            got = masked_priors(p, cols)
+            assert type(got) is list and all(type(w) is float for w in got)
+            assert np.array(got).tobytes() == reference_masked_priors(p, cols).tobytes()
 
 
 def test_expand_sets_noop_prior():
@@ -285,7 +311,7 @@ def test_prior_total_is_summed_left_to_right(monkeypatch):
     ``sum`` does up to Python 3.11. The compensated ``sum`` of 3.12 would
     total these weights to 1e16 + 2, move every prior, and with them the
     ties ``select_edge`` breaks, so a run would depend on the Python version."""
-    monkeypatch.setattr(search, "masked_priors", lambda p, cols: np.array([1e16, 1.0]))
+    monkeypatch.setattr(search, "masked_priors", lambda p, cols: [1e16, 1.0])
     node = SearchNode(state=tiny_state(), depth=0)
     expand_and_evaluate(node, UniformEvaluator(2))
     assert [e.prior for e in node.edges] == [1.0, 1e-16, 1e-19]
