@@ -29,8 +29,11 @@ declined this epoch are the idle ones before the pending agent. The rules and
 every caller read these fields directly; ``board`` is a ``Board`` over a copy
 of the layout, built on each access. ``transition`` is the one step function:
 it acts for the pending agent and closes the epoch when that agent was the
-last to act. States are never changed once made: a pick copies its state's
-lists once, and a decline shares the layout with the state it came from.
+last to act. States are never changed once made, so a new state shares
+every list its move leaves alone with the state it came from: a decline
+that leaves the epoch open shares ``cells``, ``doing`` and ``finish``; a
+pick copies all three; an epoch close copies ``doing`` and ``finish``. No
+caller may change a state's lists.
 """
 
 from __future__ import annotations
@@ -131,7 +134,13 @@ class JobContext:
 
 @dataclass(slots=True)
 class GameState:
-    """One state of play; see the module docstring."""
+    """One state of play; see the module docstring.
+
+    Its lists may be shared with the states before and after it: a decline
+    that leaves the epoch open shares ``cells``, ``doing`` and ``finish``
+    with the state it came from, a pick copies all three, and an epoch close
+    copies ``doing`` and ``finish``. So no caller may change them.
+    """
 
     job: JobContext
     cells: list[int]  # task index per cell, row 0 first, -1 when empty
@@ -187,14 +196,6 @@ def is_stalled(state: GameState) -> bool:
     return state.pending < 0 and max(state.doing) < 0 and not is_terminal(state)
 
 
-def _first_idle(doing: list[int], start: int) -> int:
-    """The first idle agent from ``start`` on, or -1."""
-    for i in range(start, len(doing)):
-        if doing[i] < 0:
-            return i
-    return -1
-
-
 def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     """Picks available to an idle agent, plus NoOp, which is always allowed.
 
@@ -237,6 +238,10 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
     completion: the elapsed span is the smallest remaining time over busy
     agents. A closing step with nobody busy leaves the state stalled rather
     than raising; callers decide how to treat that.
+
+    The new state copies only the lists the move changes (see
+    ``GameState``), and finds the next idle agent and the earliest finish
+    in one pass over the agents each.
     """
     p = state.pending
     if p < 0:
@@ -244,42 +249,39 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
     job = state.job
     if not isinstance(action, AgentAction):
         raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-    if action.task is None:
-        doing = state.doing
-        # the layout is shared; doing and finish are copied so that an
-        # epoch close can advance the new state in place
-        nxt = GameState(
-            job, state.cells, doing[:], state.finish[:], state.clock,
-            state.completed_mask, _first_idle(doing, p + 1),
-        )
-    else:
-        t = job.index.get(action.task)
-        done = state.completed_mask
-        cells = state.cells
+    cells, doing, finish = state.cells, state.doing, state.finish
+    clock, done = state.clock, state.completed_mask
+    t = action.task
+    if t is not None:
+        t = job.index.get(t)
         if t is None or cells[job.col[t]] != t or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
             raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-        cells, doing, finish = cells[:], state.doing[:], state.finish[:]
+        cells, doing, finish = cells[:], doing[:], finish[:]
         cascade(cells, job.col, job.span, job.width, t, job.floating)
         doing[p] = t
-        finish[p] = state.clock + job.duration[t]
-        nxt = GameState(job, cells, doing, finish, state.clock, done, _first_idle(doing, p + 1))
-    doing, finish = nxt.doing, nxt.finish
-    if nxt.pending >= 0 or max(doing) < 0:
-        return nxt, 0, False
-    # the epoch closes: every agent is busy or has declined, and someone is busy
-    soon = -1  # the earliest finish; every finish is positive
+        finish[p] = clock + job.duration[t]
+    for q in range(p + 1, len(doing)):
+        if doing[q] < 0:  # the next idle agent acts in this epoch
+            return GameState(job, cells, doing, finish, clock, done, q), 0, False
+    # every agent is busy or has declined: the epoch closes at the earliest finish
+    soon = -1  # every finish is positive
     for i, t in enumerate(doing):
         if t >= 0 and (soon < 0 or finish[i] < soon):
             soon = finish[i]
-    done = nxt.completed_mask
+    if soon < 0:  # nobody is busy: stalled
+        return GameState(job, cells, doing, finish, clock, done, -1), 0, False
+    if action.task is None:  # the lists are still the input's
+        doing, finish = doing[:], finish[:]
+    pending = -1  # the first idle agent once the earliest tasks complete
     for i, t in enumerate(doing):
-        if t >= 0 and finish[i] == soon:
+        if t >= 0:
+            if finish[i] != soon:
+                continue
             done |= 1 << t
             doing[i] = -1
-    elapsed = soon - nxt.clock
-    nxt.completed_mask, nxt.clock = done, soon
-    nxt.pending = _first_idle(doing, 0)
-    return nxt, -elapsed, True
+        if pending < 0:
+            pending = i
+    return GameState(job, cells, doing, finish, soon, done, pending), clock - soon, True
 
 
 def noop_stalls(state: GameState) -> bool:

@@ -46,6 +46,10 @@ _PLACE_VALUES = (_EMPTY + 1) ** np.arange(KERNEL**2 - 1, -1, -1)
 FILTERS = (10, 10)  # output channels of each convolution block
 DENSE_UNITS = 128
 L2 = 1e-4  # weight of the squared-weight penalty in the loss
+# The most cells NetEvaluator's cache keys may hold in all: 32 MB of tuple
+# slots, 34,952 desk layouts. The cache starts over when one more entry
+# would pass it.
+CACHE_CELLS = 2**22
 
 
 class CheckpointError(Exception):
@@ -262,9 +266,10 @@ def _heads(net, flat: np.ndarray):
     np.maximum(h1, 0.0, out=h1)
     log_p = h1 @ policy_w
     log_p += policy_b
-    log_p -= log_p.max(axis=1, keepdims=True)
+    # the ufuncs' reductions, which the .max and .sum methods run with more calls
+    log_p -= np.maximum.reduce(log_p, axis=1, keepdims=True)
     p = np.exp(log_p)
-    log_p -= np.log(p.sum(axis=1, keepdims=True))
+    log_p -= np.log(np.add.reduce(p, axis=1, keepdims=True))
     np.exp(log_p, out=p)
     v = h1 @ value_w
     v += value_b
@@ -599,9 +604,17 @@ class NetEvaluator:
     it. The dense layer and heads are ``_heads``, which ``_forward`` calls
     too. A net with no conv block runs ``_heads`` on ``encode_state``.
 
+    A job of the net's input height and width has its kind codes read
+    straight from ``cells``; a smaller one is padded by ``_kind_grid``, and
+    a larger one refused as ``encode_state`` refuses it.
+
     Evaluations are cached per job and layout, the state's ``cells``: the
     input reads nothing else of the state, so states differing in clocks
-    or remaining times share one forward pass.
+    or remaining times share one forward pass. The cache starts over when
+    one more entry would make its keys hold more than ``CACHE_CELLS``
+    (2**22) cells in all, 34,952 desk layouts; a desk solve makes some 700
+    to 800 entries. It memoizes a pure function, so the bound changes no
+    result.
     """
 
     def __init__(self, params, height: int, width: int):
@@ -632,15 +645,22 @@ class NetEvaluator:
                 h, w = rows.shape[-2:]
 
     def __call__(self, state: GameState) -> tuple[np.ndarray, float]:
-        key = (state.job, tuple(state.cells))
-        hit = self._cache.get(key)
+        job, cells = state.job, state.cells
+        key = (job, tuple(cells))
+        cache = self._cache
+        hit = cache.get(key)
         if hit is not None:
             return hit
+        if len(cache) >= CACHE_CELLS // len(cells):
+            cache.clear()
         if self._table is None:
             a = encode_state(state, self.height, self.width)
         else:
-            codes = _kind_grid(state, self.height, self.width).ravel()
-            a = self._table[codes[self._windows] @ _PLACE_VALUES]
+            if job.height == self.height and job.width == self.width:
+                codes = _kind_codes(job).take(cells)  # _kind_grid's, flat
+            else:
+                codes = _kind_grid(state, self.height, self.width).ravel()
+            a = self._table.take(codes[self._windows] @ _PLACE_VALUES, axis=0)
             if self._pooled:
                 a = np.maximum.reduce(a)  # _maxpool's maximum of its four views
             for wmat, bias, pooled, rows in self._blocks:
@@ -651,7 +671,7 @@ class NetEvaluator:
                     a = np.maximum.reduce(a)
                 np.maximum(a, 0.0, out=a)
         p, v, _, _ = _heads(self._net, a.reshape(1, -1))
-        result = self._cache[key] = (p[0], float(min(v[0], 0.0)))
+        result = cache[key] = (p[0], float(min(v[0], 0.0)))
         return result
 
 

@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from hrcsched import baselines, cli, desk_fixture, init_params, save_checkpoint, serialize_jobspec
+from hrcsched import (
+    baselines, cli, desk_fixture, init_params, net, save_checkpoint, serialize_jobspec,
+)
 from hrcsched.cli import main
 from hrcsched.selfplay import IterationReport
 
@@ -112,6 +114,36 @@ def test_desk_solve_schedules_are_pinned(seed, tmp_path, capsys):
             "--max-depth", "0", "--seed", str(seed)]
     assert run_cli(argv) == 0
     makespan, schedule_digest, log_digest = DESK_SOLVES[seed]
+    assert capsys.readouterr().out == f"makespan {makespan}\n"
+    assert hashlib.sha256((out / "schedule.csv").read_bytes()).hexdigest() == schedule_digest
+    assert hashlib.sha256((out / "episode_log.csv").read_bytes()).hexdigest() == log_digest
+
+
+def test_desk_solve_is_unchanged_under_a_small_cache_bound(tmp_path, capsys, monkeypatch):
+    """The evaluator's cache starts over once its keys would hold more than
+    ``CACHE_CELLS`` cells. It memoizes a pure function, so a bound of 64
+    desk layouts, far under a solve's misses, leaves the outputs as pinned."""
+    desk = desk_fixture()
+    cells = desk.width * desk.height
+    monkeypatch.setattr(net, "CACHE_CELLS", 64 * cells)
+    sizes = []
+    call = net.NetEvaluator.__call__
+
+    def sized(self, state):
+        result = call(self, state)
+        sizes.append(len(self._cache))
+        return result
+
+    monkeypatch.setattr(net.NetEvaluator, "__call__", sized)
+    job = tmp_path / "desk.job"
+    job.write_text(serialize_jobspec(desk), encoding="utf-8")
+    out = tmp_path / "solve"
+    argv = ["solve", "--jobspec", str(job), "--out", str(out), "--simulations", "40",
+            "--max-depth", "0", "--seed", "0"]
+    assert run_cli(argv) == 0
+    assert max(sizes) * cells == net.CACHE_CELLS
+    assert sum(later < earlier for earlier, later in zip(sizes, sizes[1:])) > 5  # starts over
+    makespan, schedule_digest, log_digest = DESK_SOLVES[0]
     assert capsys.readouterr().out == f"makespan {makespan}\n"
     assert hashlib.sha256((out / "schedule.csv").read_bytes()).hexdigest() == schedule_digest
     assert hashlib.sha256((out / "episode_log.csv").read_bytes()).hexdigest() == log_digest

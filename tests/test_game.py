@@ -11,9 +11,13 @@ from hrcsched import (
     JobSpec,
     JobSpecError,
     NOOP,
+    NetEvaluator,
+    SearchConfig,
+    SearchTree,
     Task,
     desk_fixture,
     episode_log_csv,
+    init_params,
     initial_state,
     is_stalled,
     is_terminal,
@@ -24,7 +28,8 @@ from hrcsched import (
     schedule_csv,
     transition,
 )
-from hrcsched.game import pick
+from hrcsched import search
+from hrcsched.game import noop_stalls, pick
 
 from conftest import TINY_TEXT, bottom_row, random_instance
 
@@ -342,6 +347,67 @@ def test_transition_leaves_its_input_untouched():
         assert snapshot(state) == before
         state = nxt
     assert advanced and state.clock == 2
+
+
+def random_move(state, rng):
+    """A uniformly random legal action of the pending agent, NoOp included,
+    except a NoOp that would stall play while the agent holds a pick."""
+    legal = legal_actions(state, next_agent(state))
+    action = legal[rng.integers(len(legal))]
+    if action is NOOP and len(legal) > 1 and noop_stalls(state):
+        action = legal[rng.integers(len(legal) - 1)]
+    return action
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_no_state_changes_once_made(strict):
+    """A state shares the lists a move leaves alone with the state it came
+    from, so one changed after it was made would change others too. Over
+    seeded random play, declines included, every state transition receives
+    or returns still equals its snapshot at the end of the episode."""
+    jobs = [(desk_fixture(), 0)] + [(random_instance(s), s) for s in range(40)]
+    for spec, seed in jobs:
+        rng = np.random.default_rng(seed)
+        state = initial_state(spec, strict=strict)
+        made = [(state, snapshot(state))]
+        while not is_terminal(state) and not is_stalled(state):
+            state, _, _ = transition(state, random_move(state, rng))
+            made.append((state, snapshot(state)))
+        assert all(snapshot(s) == snap for s, snap in made)
+
+
+@pytest.mark.parametrize("spec", [desk_fixture(), parse_jobspec(TINY_TEXT)], ids=["desk", "tiny"])
+def test_no_search_node_state_changes_once_made(spec, monkeypatch):
+    """As above for the states a search makes over five decisions, or to
+    the end of play: every node of the tree, the subtrees the root left
+    behind included, still holds its state as transition returned it. The
+    desk search makes no decline in that span; the tiny job's search
+    declines, closing epochs while the human works."""
+    made = {}  # id -> (state, its snapshot when made)
+
+    def recorded(state, action):
+        result = transition(state, action)
+        made[id(result[0])] = (result[0], snapshot(result[0]))
+        return result
+
+    monkeypatch.setattr(search, "transition", recorded)
+    state = initial_state(spec)
+    made[id(state)] = (state, snapshot(state))
+    evaluator = NetEvaluator(init_params(spec.height, spec.width, seed=0), spec.height, spec.width)
+    tree = SearchTree(state, evaluator, SearchConfig(simulations=40, max_depth=None))
+    root = tree.root
+    for _ in range(5):
+        if is_terminal(tree.root.state):
+            break
+        tree.advance_root(tree.run()[1])
+    nodes, checked = [root], 0
+    while nodes:
+        node = nodes.pop()
+        made_state, snap = made[id(node.state)]
+        assert made_state is node.state and snapshot(node.state) == snap
+        checked += 1
+        nodes += [e.child for e in node.edges or () if e.child is not None]
+    assert checked == len(made) > 10
 
 
 @pytest.mark.parametrize("task_id", ["a,b", 'a"b'])

@@ -5,6 +5,7 @@ import pytest
 
 from hrcsched import (
     CheckpointError,
+    JobSpec,
     NOOP,
     NetEvaluator,
     TrainingExample,
@@ -24,6 +25,7 @@ from hrcsched import (
     run_episode,
     save_checkpoint,
     sgd_step,
+    Task,
     train_iteration,
     transition,
 )
@@ -636,6 +638,47 @@ def test_evaluator_rejects_a_job_larger_than_its_input(size, filters):
         with pytest.raises(ValueError, match="exceeds the configured input") as got:
             ev(state)
         assert str(got.value) == str(want.value)
+
+
+def stacked_job(height, width):
+    """Every cell of a height x width board holds a one-wide stone; kinds
+    and durations cycle."""
+    tasks = tuple(
+        Task(f"s{c}_{r}", "HRE"[(c + r) % 3], 1 + (c + 2 * r) % 4, c, r)
+        for c in range(width)
+        for r in range(height)
+    )
+    return JobSpec(width, height, 1, 1, tasks)
+
+
+@pytest.mark.parametrize("size, filters", [n for n in NETS if n[0][0] != n[0][1]])
+def test_evaluator_rejects_a_job_of_its_cell_count_transposed(size, filters):
+    """The evaluator reads a job of its input's height and width straight
+    from the layout; one with as many cells, transposed, is refused as
+    ``encode_state`` refuses it."""
+    ev = NetEvaluator(init_params(*size, filters=filters), *size)
+    state = initial_state(stacked_job(size[1], size[0]))
+    with pytest.raises(ValueError) as want:
+        encode_state(state, *size)
+    with pytest.raises(ValueError, match="exceeds the configured input") as got:
+        ev(state)
+    assert str(got.value) == str(want.value)
+
+
+def test_evaluator_pads_a_job_a_row_or_a_column_short_exactly():
+    """On the desk's net, a job of its width with a row fewer and one of its
+    height with a column fewer are padded, and equal ``forward`` on
+    ``encode_state`` byte for byte."""
+    size = (15, 8)
+    params = with_random_biases(init_params(*size), 1)
+    ev = NetEvaluator(params, *size)
+    for spec in (stacked_job(size[0] - 1, size[1]), stacked_job(size[0], size[1] - 1)):
+        for seed in range(2):
+            for decision in run_episode(spec, random_pick, seed=seed).decisions:
+                p, v = ev(decision.state)
+                want = forward(params, encode_state(decision.state, *size))
+                assert p.tobytes() == want.p.tobytes()
+                assert np.float64(v).tobytes() == np.float64(want.v).tobytes()
 
 
 def test_uniform_evaluator():
