@@ -89,81 +89,3 @@ from .selfplay import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Agent",
-    "AgentAction",
-    "BUDGET_EXCEEDED",
-    "Board",
-    "BoardError",
-    "COMPLETE",
-    "CheckpointError",
-    "DeadlockError",
-    "Decision",
-    "DepthRow",
-    "EITHER",
-    "EpisodeRecord",
-    "GameError",
-    "GameState",
-    "HUMAN_ONLY",
-    "IllegalActionError",
-    "IterationReport",
-    "JobContext",
-    "JobSpec",
-    "JobSpecError",
-    "NOOP",
-    "NetEvaluator",
-    "OracleResult",
-    "PickOutcome",
-    "PolicyValue",
-    "ROBOT_ONLY",
-    "SampleStats",
-    "SearchConfig",
-    "SearchNode",
-    "SearchTree",
-    "Stone",
-    "Task",
-    "TrainingConfig",
-    "TrainingExample",
-    "UniformEvaluator",
-    "avoid_stall",
-    "clip_gradients",
-    "derive_precedence",
-    "desk_fixture",
-    "dumps_checkpoint",
-    "encode_state",
-    "episode_log_csv",
-    "episode_seed",
-    "exhaustive_search",
-    "forward",
-    "generate_episode",
-    "gradients",
-    "histogram_csv",
-    "init_params",
-    "initial_state",
-    "is_stalled",
-    "is_terminal",
-    "legal_actions",
-    "load_checkpoint",
-    "loads_checkpoint",
-    "loss",
-    "loss_and_gradients",
-    "network_width",
-    "next_agent",
-    "oracle_report_csv",
-    "parse_jobspec",
-    "pick",
-    "play",
-    "plan_blocks",
-    "random_rollouts",
-    "run_episode",
-    "save_checkpoint",
-    "schedule_csv",
-    "search_chooser",
-    "serialize_jobspec",
-    "sgd_step",
-    "train_iteration",
-    "training_log_csv",
-    "training_loop",
-    "transition",
-]

@@ -204,8 +204,8 @@ def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
     taken earlier this epoch has already left the layout.
 
     The order is a contract: the picks by strictly increasing column, each
-    stone once, then NoOp. ``search.select_edge``, ``SearchTree.run``,
-    ``expand_and_evaluate`` and ``random_rollouts`` rely on it.
+    stone once, then NoOp. ``search.select_edge``, ``SearchTree.run``, the
+    search's edge lists and ``random_rollouts`` rely on it.
     """
     job = state.job
     roster = job.roster

@@ -8,8 +8,11 @@ of the rewards met along the path plus the leaf evaluation, in raw
 (negative) time units.
 
 A simulation is three calls: ``SearchTree._select`` walks to a leaf,
-``_evaluate_leaf`` values it, expanding it unless it is terminal, stalled or
-at the depth cap, and ``backup`` credits the value to the edges walked.
+``_evaluate_leaf`` values it, and ``backup`` credits the value to the edges
+walked. A leaf's evaluation keeps the evaluator's column priors on the node
+unless it is terminal, stalled or at the depth cap; its edges are built from
+them the first time a walk passes through it, so a leaf no walk passes
+through again never lists its legal actions.
 """
 
 from __future__ import annotations
@@ -49,7 +52,12 @@ class Edge:
 class SearchNode:
     state: GameState
     depth: int  # epochs advanced since the episode root; limits apply relative to the current root
-    edges: list[Edge] | None = None  # None until expanded
+    # None until the first walk through the node, or its first search as
+    # the root; then one edge per legal action, or none at a terminal root
+    edges: list[Edge] | None = None
+    # the evaluator's column priors, kept from the node's evaluation as a
+    # leaf until its edges are built from them
+    priors: np.ndarray | None = None
     # the state's status, set once: a node's state is never mutated
     terminal: bool = field(init=False)
     stalled: bool = field(init=False)
@@ -63,7 +71,7 @@ class SearchNode:
 
     @property
     def visits(self) -> int:
-        """N(s), the sum of the edges' visits; 0 before expansion."""
+        """N(s), the sum of the edges' visits; 0 while the node has no edges."""
         return sum(e.visits for e in self.edges) if self.edges else 0
 
 
@@ -134,18 +142,27 @@ def masked_priors(p: np.ndarray, columns: list[int]) -> list[float]:
 def expand_and_evaluate(node: SearchNode, evaluator) -> float:
     """Populate the node's edges from the evaluator and return its value.
 
-    Pick priors come from the network's column distribution masked to the
-    legal picks; NoOp receives ``NOOP_PRIOR`` and the whole vector is
-    renormalised. Terminal nodes get value 0 and no edges.
+    Terminal nodes get value 0 and no edges; see ``_add_edges`` for the
+    priors.
     """
-    state = node.state
     if node.terminal:
         node.edges = []
         return 0.0
+    p, value = evaluator(node.state)
+    _add_edges(node, p)
+    return float(value)
 
+
+def _add_edges(node: SearchNode, p) -> None:
+    """Give the node one edge per legal action, in ``legal_actions`` order,
+    and drop any priors it kept.
+
+    Pick priors come from the network's column distribution ``p`` masked to
+    the legal picks; NoOp receives ``NOOP_PRIOR`` and the whole vector is
+    renormalised.
+    """
+    state = node.state
     actions = legal_actions(state, state.job.roster[state.pending])
-    p, value = evaluator(state)
-
     picks = actions[:-1]  # legal_actions lists the picks, then NoOp
     if picks:
         job = state.job
@@ -158,7 +175,7 @@ def expand_and_evaluate(node: SearchNode, evaluator) -> float:
         node.edges = [Edge(a, w / total) for a, w in zip(actions, weights)]
     else:
         node.edges = [Edge(actions[0], 1.0)]
-    return float(value)
+    node.priors = None
 
 
 def backup(path: list[Edge], leaf_value: float) -> None:
@@ -223,9 +240,13 @@ class SearchTree:
         return policy, chosen
 
     def _expanded_root(self) -> SearchNode:
-        if self.root.edges is None:
-            expand_and_evaluate(self.root, self.evaluator)
-        return self.root
+        root = self.root
+        if root.edges is None:
+            if root.priors is None:
+                expand_and_evaluate(root, self.evaluator)
+            else:
+                _add_edges(root, root.priors)
+        return root
 
     def _select(self) -> tuple[SearchNode, list[Edge], bool]:
         """Walk by ``select_edge`` to a leaf: (leaf, edges walked root first,
@@ -235,9 +256,18 @@ class SearchTree:
         cap = None if max_depth is None else self.root.depth + max_depth
         node = self.root
         path: list[Edge] = []
-        # a terminal or stalled node below the root is never expanded, so the
-        # walk stops at it
-        while node.edges:
+        # a node keeping priors gets its edges on the first walk through it;
+        # one with neither edges nor priors is a leaf: never valued, or
+        # terminal, stalled or capped when it was
+        while True:
+            edges = node.edges
+            if edges is None:
+                priors = node.priors
+                if priors is None:
+                    break
+                _add_edges(node, priors)
+            elif not edges:
+                break
             edge = select_edge(node, c_puct)
             path.append(edge)
             child = edge.child
@@ -251,10 +281,12 @@ class SearchTree:
             return 0.0
         if node.stalled:
             return self._stall_value
-        if capped:
-            # depth-capped leaf: evaluated by the network, never expanded
-            return float(self.evaluator(node.state)[1])
-        return expand_and_evaluate(node, self.evaluator)
+        p, value = self.evaluator(node.state)
+        if not capped:
+            # a leaf at the depth cap keeps no priors: no walk passes through it
+            # until the root moves, and a walk that then reaches it values it again
+            node.priors = p
+        return float(value)
 
     def advance_root(self, action: AgentAction) -> None:
         """Keep the subtree behind the action taken; drop everything else."""

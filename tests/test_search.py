@@ -511,3 +511,69 @@ def test_waiting_found_at_lower_exploration():
     spec = parse_jobspec(TINY_TEXT)
     cfg = SearchConfig(simulations=1000, max_depth=None, c_puct=10.0)
     assert play_with_tree(spec, cfg) == 6
+
+
+class EagerTree(SearchTree):
+    """The search as it was before edges were built lazily: every leaf that
+    is not terminal, stalled or capped gets its edges when it is valued."""
+
+    def _evaluate_leaf(self, node, capped):
+        if node.terminal or node.stalled or capped:
+            return super()._evaluate_leaf(node, capped)
+        return expand_and_evaluate(node, self.evaluator)
+
+
+def greedy_search_trace(tree_class, spec, params, config):
+    """Each decision of a greedy episode played by one persistent tree: the
+    root's (action, visits, total value) per edge, and the action chosen."""
+    evaluator = NetEvaluator(params, spec.height, spec.width)
+    tree = None
+    trace = []
+
+    def choose(state, agent, actions, rng):
+        nonlocal tree
+        if tree is None:
+            tree = tree_class(state, evaluator, config)
+        _, chosen = tree.run()
+        trace.append(([(e.action, e.visits, e.total_value) for e in tree.root.edges], chosen))
+        tree.advance_root(chosen)
+        return chosen
+
+    run_episode(spec, choose)
+    return trace
+
+
+@pytest.mark.parametrize("job", ["desk", "tiny"])
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+def test_lazy_expansion_matches_eager_search_exactly(job, max_depth):
+    """Edges built on the first walk through a node give the visits, values
+    and choices of edges built when the node is valued, at every decision."""
+    spec = desk_fixture() if job == "desk" else parse_jobspec(TINY_TEXT)
+    config = SearchConfig(simulations=40, max_depth=max_depth)
+    for seed in range(3):
+        params = init_params(spec.height, spec.width, seed=seed)
+        lazy = greedy_search_trace(SearchTree, spec, params, config)
+        eager = greedy_search_trace(EagerTree, spec, params, config)
+        assert len(lazy) > 1
+        assert lazy == eager
+
+
+def test_a_leaf_is_valued_without_listing_its_actions(monkeypatch):
+    """``legal_actions`` runs once for each node a walk passed through, and
+    for no leaf: some valued leaf keeps its priors and has no edges."""
+    calls = []
+
+    def counted(state, agent):
+        calls.append(state)
+        return legal_actions(state, agent)
+
+    monkeypatch.setattr(search, "legal_actions", counted)
+    spec = desk_fixture()
+    params = init_params(spec.height, spec.width, seed=0)
+    config = SearchConfig(simulations=40, max_depth=None)
+    tree = SearchTree(initial_state(spec), NetEvaluator(params, spec.height, spec.width), config)
+    tree.run()
+    nodes = list(walk(tree.root))
+    passed = [n for n in nodes if any(e.child is not None for e in n.edges or ())]
+    assert len(calls) == len(passed) > 1
+    assert any(n.priors is not None and n.edges is None for n in nodes)
