@@ -27,10 +27,8 @@ pass gives the same result, so giving up costs only time.
 The deepening is one recursive closure over the game's flat state (see
 ``game.py``): agents and tasks are bitmasks, and busy agents' tasks and
 finish times sit in two lists; the probe holds the same state in tuples,
-one per entry. Both passes expand a node through one routine, ``moves``,
-which scans the next agent's picks by column and gives each move's child
-by the arithmetic of the move and, when it closes the epoch, of the
-earliest finish. Both keep the first of the fastest leaves by one rule.
+one per entry. Both passes expand a node by the game's one move rule,
+``JobContext.moves``, and keep the first of the fastest leaves by one rule.
 The layout is one ``cells`` sequence per node, as in the game; a pick's
 child gets its own copy, on which ``board.cascade``, the gravity routine
 the game itself uses, removes the stone, so the layout alone records what
@@ -40,25 +38,21 @@ function, so states that reach one layout share one tuple. That memo
 starts over when it holds ``PROBE_WIDTH`` entries. On a pass's last level
 each child is still one visit checked against the budget, and is counted
 as finished, stalled or on the frontier, but not expanded. The first pick
-of a route on a floating layout settles it, as it does in play. The oracle
-keeps ``moves`` of its own rather than stepping with ``legal_actions`` and
-``transition``, which gives the same results in 1.45 to 1.55 times the
-time (2,000 corpus jobs, seed 101).
+of a route on a floating layout settles it, as it does in play.
 
 The random baseline plays uniformly over the legal picks and declines only
-when it holds none.
+when it holds none, stepping by ``moves`` and ``step`` through ``game.play``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import inf
 
 import numpy as np
 
 from .board import cascade
-from .game import JobContext, run_episode
+from .game import JobContext, moves, play, step
 from .jobspec import JobSpec
 
 NODE_BUDGET = 10_000_000
@@ -121,60 +115,10 @@ def exhaustive_search(
     """
     job = JobContext.build(spec, strict=strict)
     w, col, span, dur = job.width, job.col, job.span, job.duration
-    ids, pred, ok = job.ids, job.pred, job.ok  # ok: the mask of tasks each agent may do
-    floating = job.floating
+    ids, floating, full, everyone = job.ids, job.floating, job.full, job.everyone
+    rule = job.moves
     labels = [str(a) for a in job.roster]
     agents = range(len(labels))
-    everyone = (1 << len(labels)) - 1
-    full = job.full
-
-    def moves(grid, idle, declined, completed, clock, doing, finish):
-        """The next agent and its moves in move order, its legal picks by
-        column and then the decline, each as ``(task or -1, child)``. The
-        child is ``(idle, declined, completed, clock)`` after the move, or
-        None for a decline that stalls: every agent idle and declined.
-
-        ``idle`` and ``declined`` are agent masks, ``completed`` a task
-        mask; ``doing`` and ``finish`` give each busy agent's task bit and
-        the clock at which it completes."""
-        pend = idle & ~declined
-        bit = pend & -pend
-        agent = bit.bit_length() - 1
-        closes = pend == bit  # the epoch closes after this agent's move
-        if closes:  # the earliest finish, the agents who finish then, and their tasks
-            soon, soon_agents, soon_tasks = inf, 0, 0
-            for b in agents:
-                if not idle >> b & 1:
-                    if finish[b] < soon:
-                        soon, soon_agents, soon_tasks = finish[b], 1 << b, doing[b]
-                    elif finish[b] == soon:
-                        soon_agents |= 1 << b
-                        soon_tasks |= doing[b]
-        allowed = ok[agent]
-        out = []
-        last = -1
-        for t in grid[:w]:
-            if t != last and t >= 0:
-                last = t
-                if allowed >> t & 1 and not pred[t] & ~completed:
-                    at = clock + dur[t]
-                    if not closes:
-                        child = (idle ^ bit, declined, completed, clock)
-                    elif at < soon:
-                        child = (idle, 0, completed | 1 << t, at)
-                    elif at == soon:
-                        child = (idle | soon_agents, 0, completed | soon_tasks | 1 << t, at)
-                    else:
-                        child = (idle ^ bit | soon_agents, 0, completed | soon_tasks, soon)
-                    out.append((t, child))
-        if not closes:
-            child = (idle, declined | bit, completed, clock)
-        elif soon == inf:
-            child = None
-        else:
-            child = (idle | soon_agents, 0, completed | soon_tasks, soon)
-        out.append((-1, child))
-        return agent, out
 
     def route(path):
         """The moves of ``path`` as (agent label, task id or None), first
@@ -210,17 +154,17 @@ def exhaustive_search(
             count = live = ended = 0
             for prefixes, path, state in level.values():
                 grid, _, _, _, clock, doing, finish = state
-                agent, children = moves(*state)
+                agent, children = rule(*state)
                 count += prefixes * len(children)
                 for rank, (t, child) in enumerate(children):
-                    if child is None:
-                        continue
                     idle_after, declined, done, now = child
+                    if declined == everyone:  # stalled
+                        continue
                     if done == full:
                         ended += prefixes
-                        step = (path, rank, agent, t)
-                        if best is None or (now, depth, step) < best:
-                            best = (now, depth, step)
+                        found = (now, depth, (path, rank, agent, t))
+                        if best is None or found < best:
+                            best = found
                         continue
                     live += prefixes
                     if t < 0:
@@ -288,14 +232,14 @@ def exhaustive_search(
         nonlocal visits, frontier, best
         depth += 1
         final = depth == limit  # count the children, expand none
-        agent, children = moves(grid, idle, declined, completed, clock, doing, finish)
+        agent, children = rule(grid, idle, declined, completed, clock, doing, finish)
         saved = doing[agent], finish[agent]
         for rank, (t, child) in enumerate(children):
             if visits >= node_budget:
                 raise _BudgetStop
             visits += 1
             nodes[depth] += 1
-            if child is None:
+            if child[1] == everyone:  # stalled
                 continue
             routes[depth] += 1
             if child[2] == full:
@@ -359,22 +303,20 @@ def random_rollouts(
     """Play uniformly random episodes. The draw covers the legal picks;
     declining happens only when an agent has no pick at all."""
 
-    def chooser(state, agent, actions, rng):
-        picks = len(actions) - 1  # the picks come first, NoOp last
-        if picks < 2:
-            # NoOp, or the only pick: numpy draws nothing from the stream for
-            # rng.integers(1), so skipping that call leaves every later draw as it was
-            return actions[0]
-        return actions[int(rng.integers(picks))]
+    def chooser(state, agent, rng):
+        p, listed = moves(state)
+        picks = len(listed) - 1  # the picks come first, the decline last
+        # the decline, or the only pick: numpy draws nothing from the stream
+        # for rng.integers(1), so skipping that call leaves every later draw as it was
+        t, child = listed[int(rng.integers(picks))] if picks > 1 else listed[0]
+        return state.job.picks[t], None, step(state, p, t, child)
 
     if trajectories < 1:
         raise ValueError(f"trajectories must be at least 1, got {trajectories}")
     seeds = np.random.SeedSequence(seed).generate_state(trajectories, dtype=np.uint64)
     makespans = []
     for i in range(trajectories):
-        record = run_episode(
-            spec, chooser, seed=int(seeds[i]), strict=strict, record_decisions=False
-        )
+        record = play(spec, chooser, seed=int(seeds[i]), strict=strict, record_decisions=False)
         makespans.append(record.makespan)
 
     histogram: dict[int, int] = {}

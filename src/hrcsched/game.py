@@ -21,24 +21,25 @@ direct predecessors as bitmasks (``derive_precedence``'s sets), and where the
 initial layout floats, which only ``cascade`` reads (the first pick of a
 route on a floating layout settles it). A ``GameState`` holds the layout as
 ``board.py`` defines it (``cells`` alone: a stone's row is its cell index
-``// width``), each agent's task index (-1 when idle) and finish clock, the
-clock, a bitmask of the completed tasks, and the index of the agent to act
-next (-1 once the epoch is closed). Nothing else is stored, because the rest
-follows: a stone taken this epoch has left the layout, and the agents that
-declined this epoch are the idle ones before the pending agent. The rules and
-every caller read these fields directly; ``board`` is a ``Board`` over a copy
-of the layout, built on each access. ``transition`` is the one step function:
-it acts for the pending agent and closes the epoch when that agent was the
-last to act. States are never changed once made, so a new state shares
-every list its move leaves alone with the state it came from: a decline
-that leaves the epoch open shares ``cells``, ``doing`` and ``finish``; a
-pick copies all three; an epoch close copies ``doing`` and ``finish``. No
-caller may change a state's lists.
+``// width``), the masks of the idle agents and of those that declined this
+epoch, a bitmask of the completed tasks, the clock, and each agent's task
+bit and finish clock, stale while it is idle. The rest follows: a stone
+taken this epoch has left the layout, the agent to act next (``pending``)
+is the first idle one not declined, and ``doing`` reads the tasks off the
+masks; ``board`` is a ``Board`` over a copy of the layout. The rules are
+written once, as ``JobContext.moves``, and ``legal_actions``,
+``transition``, the search, random play and the oracle all step by it;
+``step`` makes the state a move leads to. States are never changed once
+made, so a new state shares every list its move leaves alone with the
+state it came from: a pick copies ``cells``, ``tasks`` and ``finish``, and
+a decline or an epoch close, which only sets agents idle, shares all
+three. No caller may change a state's lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import inf
 
 import numpy as np
 
@@ -114,8 +115,10 @@ class JobContext:
         job.col = tuple(t.col for t in tasks)
         job.span = tuple(t.span for t in tasks)
         job.duration = tuple(t.duration for t in tasks)
-        job.picks = tuple(AgentAction(t.id) for t in tasks)  # each task's pick action
+        # each task's pick action, then NoOp, so that a decline's task, -1, reads NoOp
+        job.picks = tuple(AgentAction(t.id) for t in tasks) + (NOOP,)
         job.full = (1 << len(tasks)) - 1  # the mask of all tasks
+        job.everyone = (1 << len(job.roster)) - 1  # the mask of all agents
         # the leftmost cell of the initial layout's first floating stone, or -1
         job.floating = first_floating(spec.layout(), job.col, job.span, job.width)
         # per agent, the mask of the tasks it may do
@@ -129,35 +132,103 @@ class JobContext:
                 for p in preds:
                     pred[i] |= 1 << job.index[p]
         job.pred = tuple(pred)
+        job.moves = _move_rule(job)
         return job
+
+
+def _move_rule(job: JobContext):
+    # a closure reads the job's tables as locals, cheaper than attributes of
+    # job, and the oracle calls moves once per node
+    w, ok, pred, dur = job.width, job.ok, job.pred, job.duration
+    agents = range(len(job.roster))
+
+    def moves(cells, idle, declined, completed, clock, tasks, finish):
+        """The pending agent and its moves, each as ``(task or -1, child)``:
+        the legal picks by strictly increasing column, each stone once, then
+        the decline. The child is ``(idle, declined, completed, clock)``
+        after the move; one whose ``declined`` holds every agent is stalled.
+        The arguments are a ``GameState``'s fields from ``cells`` on.
+
+        The move closes the epoch when every other idle agent has declined:
+        the clock jumps to the earliest finish over the busy agents, the
+        picker included, and everyone finishing then turns idle."""
+        pend = idle & ~declined
+        bit = pend & -pend
+        agent = bit.bit_length() - 1
+        if pend != bit:  # the epoch stays open, and every pick has one child
+            soon = -1  # before every pick's end
+            later = (idle ^ bit, declined, completed, clock)
+            wait = (idle, declined | bit, completed, clock)
+        else:  # the earliest finish, the agents who finish then, and their tasks
+            soon, soon_agents, soon_tasks = inf, 0, 0
+            for b in agents:
+                if not idle >> b & 1:
+                    if finish[b] < soon:
+                        soon, soon_agents, soon_tasks = finish[b], 1 << b, tasks[b]
+                    elif finish[b] == soon:
+                        soon_agents |= 1 << b
+                        soon_tasks |= tasks[b]
+            freed, done = idle | soon_agents, completed | soon_tasks
+            later = (freed ^ bit, 0, done, soon)  # every pick that ends after soon
+            # with nobody busy, a decline stalls: every agent idle and declined
+            wait = (freed, 0, done, soon) if soon_agents else (idle, idle, completed, clock)
+        allowed = ok[agent]
+        out = []
+        last = -1
+        for t in cells[:w]:
+            if t != last and t >= 0:
+                last = t
+                if allowed >> t & 1 and not pred[t] & ~completed:
+                    at = clock + dur[t]
+                    if at > soon:
+                        out.append((t, later))
+                    elif at < soon:
+                        out.append((t, (idle, 0, completed | 1 << t, at)))
+                    else:
+                        out.append((t, (freed, 0, done | 1 << t, at)))
+        out.append((-1, wait))
+        return agent, out
+
+    return moves
 
 
 @dataclass(slots=True)
 class GameState:
     """One state of play; see the module docstring.
 
-    Its lists may be shared with the states before and after it: a decline
-    that leaves the epoch open shares ``cells``, ``doing`` and ``finish``
-    with the state it came from, a pick copies all three, and an epoch close
-    copies ``doing`` and ``finish``. So no caller may change them.
+    Its lists may be shared with the states before and after it: a pick
+    copies ``cells``, ``tasks`` and ``finish``, and a decline or an epoch
+    close shares all three with the state it came from. So no caller may
+    change them.
     """
 
     job: JobContext
     cells: list[int]  # task index per cell, row 0 first, -1 when empty
-    doing: list[int]  # task index per agent, -1 when idle
-    finish: list[int]  # clock at which each busy agent's task completes
+    idle: int  # the mask of the agents with no task
+    declined: int  # the mask of the idle agents that declined this epoch
+    completed_mask: int  # the layout cannot tell a finished task from one in progress
     clock: int
-    # unlike the tasks taken and the agents declined this epoch, these two
-    # follow from nothing else: the layout cannot tell a finished task from
-    # one in progress, and no other field records whose turn it is
-    completed_mask: int
-    pending: int  # the agent to act next, -1 once the epoch is closed
+    tasks: list[int]  # each agent's task bit, 1 << task index; stale while idle
+    finish: list[int]  # the clock at which each agent's task completes; stale while idle
 
     def copy(self) -> "GameState":
         return GameState(
-            self.job, self.cells[:], self.doing[:], self.finish[:], self.clock,
-            self.completed_mask, self.pending,
+            self.job, self.cells[:], self.idle, self.declined, self.completed_mask,
+            self.clock, self.tasks[:], self.finish[:],
         )
+
+    @property
+    def pending(self) -> int:
+        """The agent to act next, the first idle one that has not declined;
+        -1 once the epoch is closed."""
+        pend = self.idle & ~self.declined
+        return (pend & -pend).bit_length() - 1
+
+    @property
+    def doing(self) -> list[int]:
+        """Each agent's task index, -1 when idle."""
+        idle = self.idle
+        return [-1 if idle >> i & 1 else t.bit_length() - 1 for i, t in enumerate(self.tasks)]
 
     @property
     def board(self) -> Board:
@@ -178,7 +249,7 @@ def initial_state(spec: JobSpec, strict: bool = True) -> GameState:
     if job is None or job.spec is not spec or job.strict != strict:
         job = _last_context = JobContext.build(spec, strict=strict)
     agents = len(job.roster)
-    return GameState(job, spec.layout(), [-1] * agents, [0] * agents, 0, 0, 0)
+    return GameState(job, spec.layout(), job.everyone, 0, 0, 0, [0] * agents, [0] * agents)
 
 
 def is_terminal(state: GameState) -> bool:
@@ -193,40 +264,58 @@ def next_agent(state: GameState) -> Agent | None:
 
 def is_stalled(state: GameState) -> bool:
     """Every agent idle and declined while tasks remain: time cannot advance."""
-    return state.pending < 0 and max(state.doing) < 0 and not is_terminal(state)
+    return state.declined == state.job.everyone and not is_terminal(state)
+
+
+def moves(state: GameState) -> tuple[int, list]:
+    """``state.job.moves`` over the state's own fields."""
+    return state.job.moves(
+        state.cells, state.idle, state.declined, state.completed_mask, state.clock,
+        state.tasks, state.finish,
+    )
+
+
+def step(state: GameState, agent: int, task: int, child) -> GameState:
+    """The state after ``agent``'s move ``(task, child)``, one of the moves
+    ``state.job.moves`` lists for it. Only a pick copies lists, and runs
+    ``cascade`` on its copy of the layout."""
+    job = state.job
+    idle, declined, done, clock = child
+    if task < 0:
+        return GameState(job, state.cells, idle, declined, done, clock, state.tasks, state.finish)
+    cells = state.cells[:]
+    cascade(cells, job.col, job.span, job.width, task, job.floating)
+    tasks = state.tasks[:]
+    tasks[agent] = 1 << task
+    finish = state.finish[:]
+    finish[agent] = state.clock + job.duration[task]
+    return GameState(job, cells, idle, declined, done, clock, tasks, finish)
 
 
 def legal_actions(state: GameState, agent: Agent) -> list[AgentAction]:
-    """Picks available to an idle agent, plus NoOp, which is always allowed.
+    """Picks available to an idle agent, plus NoOp, which is always allowed:
+    its ``moves``, as if the idle agents before it had declined.
 
     A bottom-row stone is pickable when its kind matches the agent and
     (strict mode only) every direct predecessor has completed. A stone
     taken earlier this epoch has already left the layout.
 
-    The order is a contract: the picks by strictly increasing column, each
-    stone once, then NoOp. ``search.select_edge``, ``SearchTree.run``, the
-    search's edge lists and ``random_rollouts`` rely on it.
+    The order is ``moves``' order: the picks by strictly increasing column,
+    each stone once, then NoOp. A plain chooser of ``run_episode`` sees it;
+    the search's edges, ``select_edge``'s and ``SearchTree.run``'s tie
+    breaks, ``random_rollouts``' draws and the oracle's depth-first order
+    rely on it through ``moves``.
     """
     job = state.job
-    roster = job.roster
-    p = state.pending
-    if p < 0 or roster[p] is not agent:
-        if agent not in roster:
-            raise IllegalActionError(f"{agent} is not in this job's roster")
-        p = roster.index(agent)
-    if state.doing[p] >= 0:
+    if agent not in job.roster:
+        raise IllegalActionError(f"{agent} is not in this job's roster")
+    p = job.roster.index(agent)
+    if not state.idle >> p & 1:
         raise IllegalActionError(f"{agent} is busy and cannot act")
-    allowed = job.ok[p]
-    pred, done, picks = job.pred, state.completed_mask, job.picks
-    actions = []
-    last = -1
-    for t in state.cells[: job.width]:
-        if t != last:
-            last = t
-            if t >= 0 and allowed >> t & 1 and not pred[t] & ~done:
-                actions.append(picks[t])
-    actions.append(NOOP)
-    return actions
+    if p != state.pending:  # as if the idle agents before it had declined
+        state = replace(state, declined=state.idle & ((1 << p) - 1))
+    _, out = moves(state)
+    return [job.picks[t] for t, _ in out]
 
 
 def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, bool]:
@@ -239,49 +328,20 @@ def transition(state: GameState, action: AgentAction) -> tuple[GameState, int, b
     agents. A closing step with nobody busy leaves the state stalled rather
     than raising; callers decide how to treat that.
 
-    The new state copies only the lists the move changes (see
-    ``GameState``), and finds the next idle agent and the earliest finish
-    in one pass over the agents each.
+    The action is found among the agent's ``moves`` and applied by ``step``.
     """
-    p = state.pending
-    if p < 0:
-        raise GameError("no pending agent; the epoch is already closed")
     job = state.job
-    if not isinstance(action, AgentAction):
-        raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-    cells, doing, finish = state.cells, state.doing, state.finish
-    clock, done = state.clock, state.completed_mask
-    t = action.task
-    if t is not None:
-        t = job.index.get(t)
-        if t is None or cells[job.col[t]] != t or not job.ok[p] >> t & 1 or job.pred[t] & ~done:
-            raise IllegalActionError(f"{job.roster[p]} cannot {action} here")
-        cells, doing, finish = cells[:], doing[:], finish[:]
-        cascade(cells, job.col, job.span, job.width, t, job.floating)
-        doing[p] = t
-        finish[p] = clock + job.duration[t]
-    for q in range(p + 1, len(doing)):
-        if doing[q] < 0:  # the next idle agent acts in this epoch
-            return GameState(job, cells, doing, finish, clock, done, q), 0, False
-    # every agent is busy or has declined: the epoch closes at the earliest finish
-    soon = -1  # every finish is positive
-    for i, t in enumerate(doing):
-        if t >= 0 and (soon < 0 or finish[i] < soon):
-            soon = finish[i]
-    if soon < 0:  # nobody is busy: stalled
-        return GameState(job, cells, doing, finish, clock, done, -1), 0, False
-    if action.task is None:  # the lists are still the input's
-        doing, finish = doing[:], finish[:]
-    pending = -1  # the first idle agent once the earliest tasks complete
-    for i, t in enumerate(doing):
-        if t >= 0:
-            if finish[i] != soon:
-                continue
-            done |= 1 << t
-            doing[i] = -1
-        if pending < 0:
-            pending = i
-    return GameState(job, cells, doing, finish, soon, done, pending), clock - soon, True
+    if not state.idle & ~state.declined:
+        raise GameError("no pending agent; the epoch is already closed")
+    agent, out = moves(state)
+    if isinstance(action, AgentAction):
+        want = -1 if action.task is None else job.index.get(action.task)
+        for t, child in out:
+            if t == want:
+                nxt = step(state, agent, t, child)
+                # durations are positive, so an epoch closes exactly when time moves
+                return nxt, state.clock - nxt.clock, nxt.clock != state.clock
+    raise IllegalActionError(f"{job.roster[agent]} cannot {action} here")
 
 
 def noop_stalls(state: GameState) -> bool:
@@ -289,7 +349,7 @@ def noop_stalls(state: GameState) -> bool:
     still to act after it this epoch holds a legal pick, so the epoch could
     only end with every agent idle. With nobody busy, the agents still to
     act are exactly those after the pending one."""
-    if max(state.doing) >= 0:
+    if state.idle != state.job.everyone:
         return False
     roster = state.job.roster
     return all(
@@ -337,20 +397,20 @@ def play(
     intervals: list[list[tuple[str, int, int]]] = [[] for _ in job.roster]
     epoch = 0
 
-    while not is_terminal(state):
-        agent = next_agent(state)
-        step = chooser(state, agent, rng)
-        if step is None:
+    roster, full = job.roster, job.full
+    while state.completed_mask != full:
+        p = state.pending
+        agent = roster[p]
+        move = chooser(state, agent, rng)
+        if move is None:
             break
-        action, policy, nxt = step
+        action, policy, nxt = move
         if record_decisions:
             decisions.append(Decision(state, agent, action, policy, epoch))
         task = action.task
         if task is not None:
             start = state.clock
-            intervals[state.pending].append(
-                (task, start, start + job.duration[job.index[task]])
-            )
+            intervals[p].append((task, start, start + job.duration[job.index[task]]))
         # durations are positive, so an epoch closes exactly when time moves
         if nxt.clock != state.clock:
             rewards.append(state.clock - nxt.clock)
@@ -377,11 +437,11 @@ def run_episode(
     """``play`` with a plain chooser: ``chooser(state, agent, actions, rng)``
     returns one of ``actions``, and ``transition`` rejects anything else."""
 
-    def step(state, agent, rng):
+    def choose(state, agent, rng):
         action = chooser(state, agent, legal_actions(state, agent), rng)
         return action, None, transition(state, action)[0]
 
-    return play(spec, step, seed=seed, strict=strict, record_decisions=record_decisions)
+    return play(spec, choose, seed=seed, strict=strict, record_decisions=record_decisions)
 
 
 def schedule_csv(record: EpisodeRecord) -> str:

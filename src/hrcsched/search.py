@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import AgentAction, GameState, legal_actions, transition
+from .game import NOOP, AgentAction, GameState, is_stalled, is_terminal, moves, step
 
 NOOP_PRIOR = 0.001  # NoOp's prior before the edge priors are renormalised
 
@@ -42,6 +42,7 @@ class Edge:
     total_value: float = 0.0
     reward: int = 0
     child: "SearchNode | None" = None
+    move: tuple | None = None  # the action's (task, child) in the node's ``moves``
 
     @property
     def mean_value(self) -> float:
@@ -63,11 +64,8 @@ class SearchNode:
     stalled: bool = field(init=False)
 
     def __post_init__(self):
-        # is_terminal and is_stalled, read off the fields: a node is made per
-        # edge the search follows
-        state = self.state
-        self.terminal = state.completed_mask == state.job.full
-        self.stalled = not self.terminal and state.pending < 0 and max(state.doing) < 0
+        self.terminal = is_terminal(self.state)
+        self.stalled = is_stalled(self.state)
 
     @property
     def visits(self) -> int:
@@ -79,7 +77,7 @@ def select_edge(node: SearchNode, c_puct: float) -> Edge:
     """Pick the edge maximising Q + c * P * sqrt(sum visits) / (1 + visits).
 
     An exact score tie goes to the higher prior, then to the earlier edge.
-    The edges follow ``legal_actions``: picks by increasing column, NoOp
+    The edges follow the game's ``moves``: picks by increasing column, NoOp
     last, so the earlier edge is the lower column and NoOp loses every tie.
 
     A node's only edge is returned without scoring it, and an unvisited
@@ -154,27 +152,24 @@ def expand_and_evaluate(node: SearchNode, evaluator) -> float:
 
 
 def _add_edges(node: SearchNode, p) -> None:
-    """Give the node one edge per legal action, in ``legal_actions`` order,
-    and drop any priors it kept.
+    """Give the node one edge per move of its state, in ``moves``' order,
+    each keeping its move, and drop any priors it kept.
 
     Pick priors come from the network's column distribution ``p`` masked to
     the legal picks; NoOp receives ``NOOP_PRIOR`` and the whole vector is
     renormalised.
     """
-    state = node.state
-    actions = legal_actions(state, state.job.roster[state.pending])
-    picks = actions[:-1]  # legal_actions lists the picks, then NoOp
-    if picks:
-        job = state.job
-        col, index = job.col, job.index
-        weights = masked_priors(p, [col[index[a.task]] for a in picks])
+    job = node.state.job
+    _, listed = moves(node.state)
+    if len(listed) > 1:  # moves lists the picks, then the decline
+        weights = masked_priors(p, [job.col[t] for t, _ in listed[:-1]])
         weights.append(NOOP_PRIOR)
         total = 0.0  # left to right: builtin sum() compensates from Python 3.12 on
         for w in weights:
             total += w
-        node.edges = [Edge(a, w / total) for a, w in zip(actions, weights)]
+        node.edges = [Edge(job.picks[m[0]], w / total, move=m) for m, w in zip(listed, weights)]
     else:
-        node.edges = [Edge(actions[0], 1.0)]
+        node.edges = [Edge(NOOP, 1.0, move=listed[0])]
     node.priors = None
 
 
@@ -192,10 +187,12 @@ def backup(path: list[Edge], leaf_value: float) -> None:
 
 
 def _child(node: SearchNode, edge: Edge) -> SearchNode:
-    """The node behind ``edge``, built by one transition on first use."""
+    """The node behind ``edge``, built by one ``step`` on first use."""
     if edge.child is None:
-        child_state, edge.reward, advanced = transition(node.state, edge.action)
-        edge.child = SearchNode(child_state, node.depth + int(advanced))
+        state = node.state
+        child = step(state, state.pending, *edge.move)
+        edge.reward = state.clock - child.clock  # nonzero exactly when the epoch closes
+        edge.child = SearchNode(child, node.depth + (edge.reward != 0))
     return edge.child
 
 
@@ -215,7 +212,7 @@ class SearchTree:
 
         Returns (visit-count policy over the root actions, chosen action).
         The chosen action has the most visits; ties go to the higher prior,
-        then to the earlier edge, which in ``legal_actions`` order is the
+        then to the earlier edge, which in ``moves``' order is the
         lower column, with NoOp last. A root with a single legal action is
         answered immediately.
         """

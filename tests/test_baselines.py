@@ -7,10 +7,12 @@ reproduce every field of the oracle's result.
 """
 
 import gc
+import hashlib
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,13 @@ from hrcsched.game import pick
 
 from conftest import TINY_TEXT, random_instance
 from test_board import FLOAT_TEXT
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    from corpus import corpus_job
+finally:
+    sys.path.remove(PERFBENCH)
 
 
 def reference_optimum(spec, strict=True):
@@ -538,6 +547,19 @@ def test_oracle_depth_row_invariants():
         assert res.total_routes > 0
         # rows describe the final pass; the node total spans every pass
         assert res.nodes_expanded >= sum(r.nodes for r in rows)
+
+
+def test_oracle_corpus_results_are_pinned():
+    """Every field of the oracle's results on the first 400 jobs of the
+    benchmark's corpus at seed 101, probed and deepened alike, as one
+    digest of their ``repr``."""
+    results = []
+    for index in range(400):
+        text, strict = corpus_job(101, index)
+        results.append(exhaustive_search(parse_jobspec(text), strict=strict))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "ff20f775dbb1ed413c8b3f6194559080ea7a0ae477490f645d0d52a62a39cac2"
+    )
 
 
 def test_oracle_budget_exceeded_keeps_completed_passes():

@@ -29,7 +29,7 @@ from hrcsched import (
     transition,
 )
 from hrcsched import search
-from hrcsched.game import noop_stalls, pick
+from hrcsched.game import noop_stalls, pick, step
 
 from conftest import TINY_TEXT, bottom_row, random_instance
 
@@ -380,17 +380,17 @@ def test_no_state_changes_once_made(strict):
 def test_no_search_node_state_changes_once_made(spec, monkeypatch):
     """As above for the states a search makes over five decisions, or to
     the end of play: every node of the tree, the subtrees the root left
-    behind included, still holds its state as transition returned it. The
+    behind included, still holds its state as ``step`` returned it. The
     desk search makes no decline in that span; the tiny job's search
     declines, closing epochs while the human works."""
     made = {}  # id -> (state, its snapshot when made)
 
-    def recorded(state, action):
-        result = transition(state, action)
-        made[id(result[0])] = (result[0], snapshot(result[0]))
+    def recorded(state, agent, task, child):
+        result = step(state, agent, task, child)
+        made[id(result)] = (result, snapshot(result))
         return result
 
-    monkeypatch.setattr(search, "transition", recorded)
+    monkeypatch.setattr(search, "step", recorded)
     state = initial_state(spec)
     made[id(state)] = (state, snapshot(state))
     evaluator = NetEvaluator(init_params(spec.height, spec.width, seed=0), spec.height, spec.width)

@@ -7,6 +7,9 @@ robots. Every layout has a stone in the bottom row, and every task kind
 has an agent who can do it.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -19,15 +22,21 @@ from hrcsched import (
     Board,
     JobContext,
     JobSpec,
+    SearchConfig,
     Task,
+    UniformEvaluator,
     derive_precedence,
     exhaustive_search,
+    generate_episode,
     initial_state,
     is_stalled,
     is_terminal,
     legal_actions,
     next_agent,
     pick,
+    run_episode,
+    schedule_csv,
+    serialize_jobspec,
     transition,
 )
 from hrcsched.game import noop_stalls
@@ -35,6 +44,14 @@ from hrcsched.game import noop_stalls
 from conftest import bottom_row, id_grid
 from test_baselines import reference_search
 from test_board import ReferenceBoard, reference_cascade
+from test_game import random_pick
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import checker
+finally:
+    sys.path.remove(PERFBENCH)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -251,3 +268,48 @@ def test_turns_and_picks_match_explicit_epoch_masks(job, seed):
             declined |= 1 << p
         else:
             taken |= 1 << state.job.index[action.task]
+
+
+def replayed_rows(spec, strict, route):
+    """The schedule rows of an oracle route, stepped through ``transition``:
+    (agent, task, start, end) per pick, and the clock at the end."""
+    state = initial_state(spec, strict=strict)
+    rows = []
+    for label, task in route:
+        agent = next_agent(state)
+        assert str(agent) == label
+        if task is not None:
+            duration = state.job.tasks[task].duration
+            rows.append((label, task, state.clock, state.clock + duration))
+        state, _, _ = transition(state, NOOP if task is None else pick(task))
+    assert is_terminal(state)
+    return rows, state.clock
+
+
+@settings(PROPERTY, max_examples=100)
+@given(jobs(max_tasks=5, max_agents=3), st.integers(0, 2**32 - 1))
+def test_every_schedule_passes_the_independent_checker(job, seed):
+    # perfbench/checker.py reads the job text and the schedule rows on its
+    # own and imports nothing of the package. It cannot tell when an epoch
+    # opens, so the epoch rule is checked here: every task starts at 0 or
+    # at the end of some task.
+    spec, strict = job
+    text = checker.read_job(serialize_jobspec(spec))
+    schedules = []
+    for record in (
+        run_episode(spec, random_pick, seed=seed, strict=strict),
+        generate_episode(
+            spec, UniformEvaluator(spec.width), SearchConfig(simulations=5), seed, strict=strict
+        )[0],
+    ):
+        rows = checker.read_schedule(schedule_csv(record))
+        schedules.append((rows, record.makespan))
+    result = exhaustive_search(spec, strict=strict)
+    assert result.status == COMPLETE
+    rows, clock = replayed_rows(spec, strict, result.optimal_route)
+    assert clock == result.optimal_makespan
+    schedules.append((rows, clock))
+    for rows, makespan in schedules:
+        assert checker.check_schedule(text, rows, strict, makespan) == []
+        ends = {end for _, _, _, end in rows}
+        assert all(start == 0 or start in ends for _, _, start, _ in rows)

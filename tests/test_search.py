@@ -24,7 +24,7 @@ from hrcsched import (
     transition,
 )
 from hrcsched import search
-from hrcsched.game import pick
+from hrcsched.game import moves, pick
 from hrcsched.search import (
     Edge,
     backup,
@@ -559,15 +559,15 @@ def test_lazy_expansion_matches_eager_search_exactly(job, max_depth):
 
 
 def test_a_leaf_is_valued_without_listing_its_actions(monkeypatch):
-    """``legal_actions`` runs once for each node a walk passed through, and
-    for no leaf: some valued leaf keeps its priors and has no edges."""
+    """``moves`` runs once for each node a walk passed through, and for no
+    leaf: some valued leaf keeps its priors and has no edges."""
     calls = []
 
-    def counted(state, agent):
+    def counted(state):
         calls.append(state)
-        return legal_actions(state, agent)
+        return moves(state)
 
-    monkeypatch.setattr(search, "legal_actions", counted)
+    monkeypatch.setattr(search, "moves", counted)
     spec = desk_fixture()
     params = init_params(spec.height, spec.width, seed=0)
     config = SearchConfig(simulations=40, max_depth=None)
